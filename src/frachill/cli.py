@@ -35,7 +35,7 @@ from frachill.errors import (
 )
 from frachill.history import Constant, FloquetForm, ForcingEvaluator, forcing_grid, parse_history
 from frachill.hill import evaluate_grid
-from frachill.integrator import solve_liouville_weyl
+from frachill.integrator import _grid, solve_liouville_weyl
 from frachill.specfun import mittag_leffler
 from frachill.spectral import (
     classify_lti,
@@ -168,11 +168,6 @@ def _trajectory_table(times, values) -> tuple[list[str], list[list[str]]]:
             [_fmt(t)] + [_fmt(yj) for yj in y] for t, y in zip(times, values)
         ]
     return header, rows
-
-
-def _uniform_grid(t_end: float, dt: float) -> np.ndarray:
-    steps = int(math.floor(t_end / dt + 1e-9))
-    return dt * np.arange(steps + 1)
 
 
 def _cmd_ml(args) -> int:
@@ -308,7 +303,7 @@ def _cmd_floquet(args) -> int:
     strip = _parse_strip(args.strip) if args.strip else None
     pairs = find_eigenvalues(spec, args.N, strip=strip, tol=args.tol)
     ep = _select_pair(pairs, args.index)
-    times = _uniform_grid(args.t_end, args.dt)
+    times = _grid(0.0, args.t_end, args.dt)
     tr = reconstruct_floquet(ep, spec, times)
     header, rows = _trajectory_table(tr.times, tr.values)
     _emit(

@@ -4,8 +4,8 @@ The matrix H_N(lambda) is block Toeplitz in the Fourier coefficients J_k
 of the periodic system matrix, with block row r carrying the diagonal
 shift (lambda + i r omega)^alpha for r = -N..N.  Roots of its
 determinant in lambda are the Floquet exponent candidates; the search
-itself lives in the spectral module and uses the smallest singular value
-as its indicator.
+itself lives in the spectral module: it counts roots with the phase of
+the determinant and accepts them on the smallest singular value.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "log_abs_det",
     "sigma_min_and_nullvector",
     "sigma_min_grid",
+    "det_phase_and_log_derivative",
     "evaluate_grid",
 ]
 
@@ -164,6 +165,37 @@ def sigma_min_grid(
     for stack in _stacks(spec, N, lams, chunk_size):
         out.append(np.linalg.svd(stack, compute_uv=False)[:, -1])
     return np.concatenate(out) if out else np.zeros(0)
+
+
+def det_phase_and_log_derivative(
+    spec: SystemSpec, N: int, lams
+) -> tuple[np.ndarray, np.ndarray]:
+    """det/|det| of H_N and d/dlam log det H_N over lambda values.
+
+    Only the diagonal shifts depend on lambda, so
+    H' = -alpha diag((lambda + i r omega)^(alpha - 1)) and the
+    logarithmic derivative is tr(H^-1 H').  Where det vanishes exactly
+    the phase is 0 and the derivative infinite.
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    rs = np.arange(-N, N + 1)
+    phases, slopes = [], []
+    lo = 0
+    for stack in _stacks(spec, N, lams, None):
+        w = lams[lo : lo + len(stack), None] + 1j * spec.omega * rs[None, :]
+        lo += len(stack)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift_slope = spec.alpha * principal_power_grid(w, spec.alpha) / w
+        phase = np.linalg.slogdet(stack)[0]
+        slope = np.full(len(stack), complex(np.inf, 0.0))
+        ok = phase != 0.0
+        inv_diag = np.diagonal(np.linalg.inv(stack[ok]), axis1=1, axis2=2)
+        slope[ok] = -np.sum(inv_diag * np.repeat(shift_slope[ok], spec.dim, axis=1), axis=1)
+        phases.append(phase)
+        slopes.append(slope)
+    if not phases:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    return np.concatenate(phases), np.concatenate(slopes)
 
 
 def evaluate_grid(

@@ -191,6 +191,9 @@ class TruncatedSinusoid(HistoryFunction):
     def sup_derivative(self) -> float:
         return self.frequency * float(np.linalg.norm(self.amplitude))
 
+    def closed_forcing(self, t, alpha):
+        return self.tail_integral(t, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
+
     def tail_integral(self, t, alpha, cutoff):
         # x0' = amp * om * Re e^{i(om tau + phase)}; rotating the ray of
         # integration gives the incomplete gamma of imaginary argument
@@ -725,10 +728,10 @@ def forcing(fe: ForcingEvaluator, t: float) -> np.ndarray:
 def forcing_grid(fe: ForcingEvaluator, ts: np.ndarray) -> np.ndarray:
     """F x0 on a whole grid of times at once, shape (len(ts), dim).
 
-    Sinusoid histories use a vectorized closed expression for the full
-    half-line integral (incomplete gamma of imaginary argument); the
-    remaining kinds fall back on per-point evaluation, which is cheap
-    because their forcing is closed form.
+    Sinusoid histories on the "auto" and "closed" routes use a
+    vectorized form of their closed expression for the full half-line
+    integral (incomplete gamma of imaginary argument); every other case,
+    "quadrature" included, falls back on per-point evaluation.
     """
     h = fe.history
     ts = np.asarray(ts, dtype=float)
@@ -738,7 +741,7 @@ def forcing_grid(fe: ForcingEvaluator, ts: np.ndarray) -> np.ndarray:
     if fe.alpha >= 1.0 - 1e-12 or isinstance(h, Constant):
         dtype = complex if isinstance(h, FloquetForm) else float
         return np.zeros((ts.shape[0], h.dim), dtype=dtype)
-    if isinstance(h, TruncatedSinusoid) and fe.method in ("auto", "quadrature"):
+    if isinstance(h, TruncatedSinusoid) and fe.method in ("auto", "closed"):
         alpha = fe.alpha
         om = h.frequency
         from .specfun import upper_incomplete_gamma_vec

@@ -8,6 +8,7 @@ import pytest
 from frachill.errors import DomainError
 from frachill.hill import (
     assemble,
+    det_phase_and_log_derivative,
     evaluate_grid,
     log_abs_det,
     sigma_min_and_nullvector,
@@ -159,6 +160,44 @@ class TestLogAbsDet:
         np.testing.assert_allclose(
             ev.det_phase * math.exp(ev.log_abs_det), det, rtol=1e-10
         )
+
+
+class TestLogDerivative:
+    def test_phase_matches_log_abs_det(self):
+        spec = mathieu_spec(alpha=0.5)
+        lams = [0.4 + 0.3j, 1.2 - 0.7j, 0.05 + 2.0j]
+        phase, _ = det_phase_and_log_derivative(spec, 3, lams)
+        for lam, ph in zip(lams, phase):
+            assert ph == pytest.approx(log_abs_det(assemble(spec, 3, lam)).det_phase, abs=1e-12)
+
+    def test_matches_difference_quotient(self):
+        # d/dlam log det H_N against a central difference of log det
+        spec = mathieu_spec(alpha=0.7)
+        lam, h = 0.3 + 0.2j, 1e-6
+
+        def log_det(z):
+            sign, logabs = np.linalg.slogdet(assemble(spec, 4, z).matrix)
+            return logabs + 1j * np.angle(sign)
+
+        _, slope = det_phase_and_log_derivative(spec, 4, [lam])
+        quotient = (log_det(lam + h) - log_det(lam - h)) / (2.0 * h)
+        assert slope[0] == pytest.approx(quotient, rel=1e-7)
+
+    def test_diagonal_closed_form(self):
+        # det = prod (a - (lam + i k)^alpha), so the slope sums simple poles
+        spec, alpha, lam = constant_spec(2.0), 0.5, 0.7 + 0.1j
+        ws = [lam + 1j * k for k in range(-3, 4)]
+        expected = sum(
+            -alpha * principal_power(w, alpha) / w / (2.0 - principal_power(w, alpha))
+            for w in ws
+        )
+        _, slope = det_phase_and_log_derivative(spec, 3, [lam])
+        assert slope[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_singularity(self):
+        phase, slope = det_phase_and_log_derivative(constant_spec(1.0), 0, [1.0, 2.0])
+        assert phase[0] == 0.0 and np.isinf(slope[0])
+        assert abs(phase[1]) == pytest.approx(1.0) and np.isfinite(slope[1])
 
 
 class TestSigmaMin:

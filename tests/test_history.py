@@ -1,6 +1,7 @@
 """Tests for initial histories and the forcing term evaluator."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from frachill.history import (
     ExpGrowth,
     FloquetForm,
     ForcingEvaluator,
+    HistoryFunction,
     PiecewiseConstantRamp,
     Sampled,
     TruncatedSinusoid,
@@ -24,6 +26,7 @@ from frachill.history import (
     eval_history_derivative,
     forcing,
     forcing_bound_constant,
+    forcing_grid,
     parse_history,
 )
 from frachill.specfun import gamma, mittag_leffler, upper_incomplete_gamma
@@ -54,6 +57,21 @@ FLOQUET_FORCING = {
     0.0: 0.9646271650510255684053 + 0.6567118925163433397803j,
     1.5: 0.517920412900428992269 + 0.1080521356047360625618j,
 }
+
+
+@dataclass(frozen=True, kw_only=True)
+class _NoClosedForm(HistoryFunction):
+    """A history kind that declares no closed-form forcing."""
+
+    @property
+    def dim(self) -> int:
+        return 1
+
+    def value(self, t):
+        return np.ones(1)
+
+    def derivative(self, t):
+        return np.zeros(1)
 
 
 def sampled_sine(n=60, left=-8.0, dim=1):
@@ -271,10 +289,29 @@ class TestQuadratureRoute:
         val /= gamma(0.5)
         np.testing.assert_allclose(forcing(fe, t), [val], atol=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_sinusoid_agreement(self, alpha, monkeypatch):
+        h = TruncatedSinusoid(amplitude=[2.0], phase=0.7, frequency=3.0, t0=-0.5)
+        closed = ForcingEvaluator(h, alpha, method="closed")
+        quadr = ForcingEvaluator(h, alpha, method="quadrature", tail_split=-6.0)
+        ts = np.linspace(-0.5, 10.0, 8)
+        expect = forcing_grid(closed, ts)
+        for t, ref in zip(ts, expect):
+            np.testing.assert_allclose(forcing(closed, t), ref, atol=1e-12)
+        # the quadrature route must really integrate, also on a grid
+        calls = []
+        integrate = ForcingEvaluator._forcing_quadrature
+        monkeypatch.setattr(
+            ForcingEvaluator,
+            "_forcing_quadrature",
+            lambda fe, t: calls.append(t) or integrate(fe, t),
+        )
+        np.testing.assert_allclose(forcing_grid(quadr, ts), expect, atol=1e-7)
+        assert len(calls) == len(ts)
+
     def test_no_closed_form_error(self):
-        h = TruncatedSinusoid(amplitude=[1.0])
         with pytest.raises(DomainError):
-            ForcingEvaluator(h, 0.5, method="closed").forcing(1.0)
+            ForcingEvaluator(_NoClosedForm(), 0.5, method="closed").forcing(1.0)
 
 
 class TestBounds:

@@ -1,6 +1,7 @@
 """Tests for eigenvalue search, localization, classification, Floquet forms."""
 
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as Gamma
 
-from frachill.errors import DomainError
+from frachill import spectral
+from frachill.errors import DomainError, IterationError
 from frachill.hill import assemble, sigma_min_and_nullvector
 from frachill.spectral import (
     INVALID_NEGATIVE_RE,
@@ -173,6 +175,122 @@ class TestFindEigenvalues:
                 N=1,
                 classification="maybe",
             )
+
+
+def search_log(caplog) -> dict:
+    """Fields of the last find_eigenvalues log line."""
+    line = [r.getMessage() for r in caplog.records if r.name == "frachill.spectral"][-1]
+    return dict(f.split("=", 1) for f in line.split()[1:])
+
+
+class TestCertifiedSearch:
+    """Pitfalls of counting zeros on a contour and refining with Newton."""
+
+    @pytest.fixture(autouse=True)
+    def _info(self, caplog):
+        caplog.set_level(logging.INFO, logger="frachill.spectral")
+
+    def test_root_on_right_edge(self, caplog):
+        # a^(1/alpha) is exactly the Gershgorin re_max, the strip's right edge
+        spec = constant_spec(2.0)
+        assert gershgorin(spec, 5).re_max == 4.0
+        pairs = find_eigenvalues(spec, 5)
+        assert len(pairs) == 1
+        assert abs(pairs[0].lam - 4.0) < 1e-12
+        fields = search_log(caplog)
+        assert fields["route"] == "contour"
+        assert fields["counted"] == "1" and fields["returned"] == "1"
+
+    def test_roots_on_both_imaginary_edges(self, caplog):
+        # real coefficients put partner roots on Im = -1/2 and Im = +1/2;
+        # the padded contour counts both, the half-open strip keeps one
+        spec = make_system(
+            0.9,
+            1.0,
+            {0: [[0.0, 1.0], [0.787278, 0.0]], 1: [[0.0, 0.0], [-0.5j * 1.67977, 0.0]]},
+        )
+        pairs = find_eigenvalues(spec, 10)
+        assert len(pairs) == 1
+        lam = pairs[0].lam
+        assert lam.real == pytest.approx(0.35776, abs=1e-4)
+        assert lam.imag == pytest.approx(0.5, abs=1e-10)
+        partner, _ = sigma_min_and_nullvector(assemble(spec, 10, lam - 1j))
+        assert partner < 1e-9
+        fields = search_log(caplog)
+        assert fields["counted"] == "2"
+        assert fields["returned"] == "1"
+        assert fields["rejected_strip"] == "1"
+
+    def test_root_next_to_branch_point(self):
+        # lam = 0 is a branch point on the left edge of the default strip
+        pairs = find_eigenvalues(periodic_spec(2.06727, alpha=0.3), 10)
+        assert len(pairs) == 1
+        assert pairs[0].lam.real == pytest.approx(0.0077424, abs=1e-7)
+        assert abs(pairs[0].lam.imag) < 1e-12
+        assert pairs[0].residual < 1e-9
+
+    def test_root_on_branch_point_is_marginal(self, caplog):
+        # J = 0: det H_N vanishes only at the branch points i k omega
+        pairs = find_eigenvalues(make_system(0.5, 1.0, {0: [[0.0]]}), 3)
+        assert [ep.lam for ep in pairs] == [0.0]
+        assert pairs[0].classification == VALID_FLOQUET
+        assert search_log(caplog)["counted"] == "0"
+
+    def test_exactly_singular_newton_iterate(self):
+        # H_5(4) has an exact zero pivot for a = 2, alpha = 1/2
+        spec = constant_spec(2.0)
+        box = (3.0, 5.0, -0.5, 0.5)
+        assert spectral._newton(spec, 5, 4.0 + 0.0j, 1, box) == (4.0, 1)
+        # the strip is centred on the root, so the search starts there
+        pairs = find_eigenvalues(spec, 5, strip=box)
+        assert [ep.lam for ep in pairs] == [4.0]
+
+    def test_zeros_close_to_a_long_step(self, caplog):
+        # alpha = 0.2 stretches the default strip to Re ~ 684, so the
+        # starting nodes lie ~7 apart; the phase turns of the zeros that
+        # pass close under one step cancel unless steps are also kept
+        # shorter than the distance to the nearest zero
+        c, d = 0.5634983870786718, 2.6896215711480025
+        spec = make_system(
+            0.2, 1.0, {0: [[0.0, 1.0], [c, 0.0]], 1: [[0.0, 0.0], [-0.5j * d, 0.0]]}
+        )
+        pairs = find_eigenvalues(spec, 10)
+        assert search_log(caplog)["counted"] == "5"
+        lams = [ep.lam for ep in pairs]
+        expected = [
+            1.8520676396869 - 0.2418897674658j,
+            1.8520676396869 + 0.2418897674658j,
+            4.8238477742163,
+            7.8329355053472,
+            10.835693331690,
+        ]
+        assert len(lams) == len(expected)
+        for ref in expected:
+            assert min(abs(lam - ref) for lam in lams) < 1e-9
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_newton", lambda *args: None)
+        with pytest.raises(IterationError):
+            find_eigenvalues(periodic_spec(2.5), 20)
+
+    def test_empty_list_is_a_count(self, caplog):
+        assert find_eigenvalues(periodic_spec(1.0), 20) == []
+        fields = search_log(caplog)
+        assert fields["route"] == "contour" and fields["counted"] == "0"
+
+    def test_route_follows_the_cuts(self, caplog):
+        spec = make_system(0.5, 1.0, {0: rotation_block(0.9, 3 * math.pi / 8)})
+        # Re < 0 between the cuts on Im = 0 and Im = 1: still counted
+        find_eigenvalues(spec, 8, strip=(-1.0, 0.0, 0.4, 0.7))
+        assert search_log(caplog)["route"] == "contour"
+        # the cut on Im = 0 crosses this strip
+        find_eigenvalues(spec, 8, strip=(-1.0, 0.0, -0.3, 0.7), grid_shape=(21, 21))
+        fields = search_log(caplog)
+        assert fields["route"] == "scan" and fields["counted"] == "-"
+
+    def test_grid_shape_validation(self):
+        with pytest.raises(DomainError):
+            find_eigenvalues(periodic_spec(1.0), 5, grid_shape=(1, 9))
 
 
 class TestClassifyLti:
