@@ -268,6 +268,15 @@ class TestCertifiedSearch:
         for ref in expected:
             assert min(abs(lam - ref) for lam in lams) < 1e-9
 
+    def test_double_root_counts_twice(self, caplog):
+        # a Jordan block puts a zero of multiplicity 2 at a^(1/alpha)
+        spec = make_system(0.5, 1.0, {0: [[2.0, 1.0], [0.0, 2.0]]})
+        pairs = find_eigenvalues(spec, 5)
+        assert len(pairs) == 1
+        assert abs(pairs[0].lam - 4.0) < 1e-10
+        fields = search_log(caplog)
+        assert fields["counted"] == "2" and fields["returned"] == "1"
+
     def test_count_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_newton", lambda *args: None)
         with pytest.raises(IterationError):
