@@ -33,12 +33,13 @@ from frachill.errors import (
     NumericalError,
     SchemaError,
 )
-from frachill.history import Constant, FloquetForm, ForcingEvaluator, forcing_grid, parse_history
+from frachill.history import Constant, ForcingEvaluator, forcing_grid, parse_history
 from frachill.hill import evaluate_grid
 from frachill.integrator import _grid, solve_liouville_weyl
 from frachill.specfun import mittag_leffler
 from frachill.spectral import (
     classify_lti,
+    compare_floquet,
     find_eigenvalues,
     reconstruct_floquet,
     verify_floquet,
@@ -469,17 +470,7 @@ def reproduce_figures(outdir) -> str:
     spec22 = _example_scalar(2.2)
     pairs22 = find_eigenvalues(spec22, 10)
     ep = _select_pair(pairs22, 0)
-    blocks = ep.p.reshape(2 * ep.N + 1, spec22.dim)
-    history = FloquetForm(
-        lam=ep.lam,
-        omega=spec22.omega,
-        coeffs={k - ep.N: blocks[k] for k in range(2 * ep.N + 1)},
-    )
-    sim = solve_liouville_weyl(spec22, history, 4.0 * math.pi, 1e-3)
-    hill = reconstruct_floquet(ep, spec22, sim.times)
-    diff = np.linalg.norm(sim.values - hill.values, axis=1)
-    scale = np.maximum(1.0, np.linalg.norm(hill.values, axis=1))
-    max_rel_err = float(np.max(diff / scale))
+    sim, hill, max_rel_err = compare_floquet(ep, spec22, 4.0 * math.pi, 1e-3)
     rows = [
         [_fmt(t), _fmt(ys.real), _fmt(ys.imag), _fmt(yh.real), _fmt(yh.imag)]
         for t, ys, yh in zip(sim.times, sim.values[:, 0], hill.values[:, 0])

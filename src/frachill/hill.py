@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from frachill.errors import DomainError, IterationError
-from frachill.system import SystemSpec, principal_power_grid
+from frachill.system import SystemSpec, principal_power
 
 __all__ = [
     "HillMatrix",
@@ -80,7 +80,7 @@ def _shifts(spec: SystemSpec, N: int, lams: np.ndarray) -> np.ndarray:
     """Per-entry diagonal shifts, shape (len(lams), n(2N+1))."""
     rs = np.arange(-N, N + 1)
     args = np.asarray(lams, dtype=complex)[:, None] + 1j * spec.omega * rs[None, :]
-    pp = principal_power_grid(args, spec.alpha)
+    pp = principal_power(args, spec.alpha)
     return np.repeat(pp, spec.dim, axis=1)
 
 
@@ -185,7 +185,7 @@ def det_phase_and_log_derivative(
         w = lams[lo : lo + len(stack), None] + 1j * spec.omega * rs[None, :]
         lo += len(stack)
         with np.errstate(divide="ignore", invalid="ignore"):
-            shift_slope = spec.alpha * principal_power_grid(w, spec.alpha) / w
+            shift_slope = spec.alpha * principal_power(w, spec.alpha) / w
         phase = np.linalg.slogdet(stack)[0]
         slope = np.full(len(stack), complex(np.inf, 0.0))
         ok = phase != 0.0

@@ -9,14 +9,21 @@ derivative on [t0 - eta, t0]; the forcing term
 is then defined and continuous for t >= t0 and decays like
 C (t - t0 + eta)^(-alpha).  Histories that break these requirements
 (backward-unbounded exponentials, derivative blow-up at t0) are refused.
+
+Every kind gives its closed form, where it has one, as one array-valued
+expression over a whole time array; :func:`forcing_grid` is the single
+entry point that evaluates the forcing, in closed form or by quadrature.
+The exponential, sinusoid and Floquet kinds reduce to scaled incomplete
+gammas e^z Gamma(1 - alpha, z), z = mu (t - t0), which stay finite for
+large Re z where e^z alone overflows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import ClassVar, Mapping, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,10 +36,14 @@ from .errors import (
     SingularForcingError,
     UnboundedHistoryError,
 )
-from .specfun import gamma, reciprocal_gamma, upper_incomplete_gamma
+from .specfun import _upper_gamma_scaled, reciprocal_gamma
 from .system import principal_power
 
 _T_TOL = 1e-12
+
+# times per closed-form evaluation: bounds the (times x harmonics) and
+# (times x samples) work arrays of one chunk to a few MB
+_CHUNK = 2048
 
 
 def _vec(x) -> np.ndarray:
@@ -51,32 +62,6 @@ def _cvec(x) -> np.ndarray:
     return out
 
 
-def _scaled_upper_gamma(s: float, z: complex) -> complex:
-    """exp(z) * Gamma(s, z) without overflow for large Re z.
-
-    For |z| > 45 the standard asymptotic expansion of the incomplete
-    gamma function is accurate far below the forcing tolerance.
-    """
-    if abs(z) <= 45.0:
-        return cmath.exp(z) * upper_incomplete_gamma(s, z)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 40):
-        term *= (s - k) / z
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return z ** (s - 1.0) * total
-
-
-def _clean_arg(z: complex) -> complex:
-    # rounding can push an argument meant for the closed right half
-    # plane infinitesimally across the axis
-    if z.real < 0.0 and abs(z.real) < 1e-12 * abs(z):
-        return complex(0.0, z.imag)
-    return z
-
-
 @dataclass(frozen=True, kw_only=True)
 class HistoryFunction:
     """Base class for admissible initial functions.
@@ -87,6 +72,9 @@ class HistoryFunction:
 
     t0: float = 0.0
     eta: float = 1.0
+
+    # whether x0, and so its forcing, takes complex values
+    complex_valued: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.eta > 0.0:
@@ -113,12 +101,14 @@ class HistoryFunction:
     def kinks(self) -> tuple[float, ...]:
         return ()
 
-    def closed_forcing(self, t: float, alpha: float) -> Optional[np.ndarray]:
-        """F x0(t) in closed form, or None when no closed form exists."""
+    def closed_forcing(self, ts: np.ndarray, alpha: float) -> Optional[np.ndarray]:
+        """F x0 at each time of ts in closed form, shape (len(ts), dim),
+        or None when no closed form exists."""
         return None
 
-    def tail_integral(self, t: float, alpha: float, cutoff: float) -> np.ndarray:
-        """integral_{-inf}^{cutoff} (t - tau)^(-alpha) x0'(tau) dtau, analytic."""
+    def tail_integral(self, ts: np.ndarray, alpha: float, cutoff: float) -> np.ndarray:
+        """integral_{-inf}^{cutoff} (t - tau)^(-alpha) x0'(tau) dtau, analytic,
+        at each time of ts, shape (len(ts), dim)."""
         raise NotImplementedError
 
     def tail_cutoff(self) -> float:
@@ -150,11 +140,11 @@ class Constant(HistoryFunction):
     def sup_derivative(self) -> float:
         return 0.0
 
-    def closed_forcing(self, t, alpha):
-        return np.zeros(self.dim)
+    def closed_forcing(self, ts, alpha):
+        return np.zeros((len(ts), self.dim))
 
-    def tail_integral(self, t, alpha, cutoff):
-        return np.zeros(self.dim)
+    def tail_integral(self, ts, alpha, cutoff):
+        return np.zeros((len(ts), self.dim))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -191,18 +181,20 @@ class TruncatedSinusoid(HistoryFunction):
     def sup_derivative(self) -> float:
         return self.frequency * float(np.linalg.norm(self.amplitude))
 
-    def closed_forcing(self, t, alpha):
-        return self.tail_integral(t, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
+    def closed_forcing(self, ts, alpha):
+        return self.tail_integral(ts, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
 
-    def tail_integral(self, t, alpha, cutoff):
+    def tail_integral(self, ts, alpha, cutoff):
         # x0' = amp * om * Re e^{i(om tau + phase)}; rotating the ray of
-        # integration gives the incomplete gamma of imaginary argument
+        # integration gives e^{i(om t + phase)} Gamma(1 - alpha, z) with
+        # z = i om (t - cutoff), which is e^{i(om cutoff + phase)} e^z Gamma
         om = self.frequency
-        z = _clean_arg(1j * om * (t - cutoff))
-        rot = om ** (alpha - 1.0) * cmath.exp(0.5j * math.pi * (alpha - 1.0))
-        g = upper_incomplete_gamma(1.0 - alpha, z)
-        factor = (cmath.exp(1j * (om * t + self.phase)) * rot * g).real
-        return self.amplitude * om * factor
+        z = 1j * om * (np.asarray(ts, dtype=float) - cutoff)
+        rot = om ** (alpha - 1.0) * cmath.exp(
+            1j * (om * cutoff + self.phase + 0.5 * math.pi * (alpha - 1.0))
+        )
+        factor = (rot * _upper_gamma_scaled(1.0 - alpha, z)).real
+        return np.outer(factor, self.amplitude * om)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -240,14 +232,15 @@ class ExpGrowth(HistoryFunction):
     def sup_derivative(self) -> float:
         return self.rate * float(np.linalg.norm(self.coefficient))
 
-    def closed_forcing(self, t, alpha):
-        return self.tail_integral(t, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
+    def closed_forcing(self, ts, alpha):
+        return self.tail_integral(ts, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
 
-    def tail_integral(self, t, alpha, cutoff):
+    def tail_integral(self, ts, alpha, cutoff):
         rho = self.rate
-        scaled = _scaled_upper_gamma(1.0 - alpha, rho * (t - cutoff))
-        factor = rho ** alpha * math.exp(-rho * (self.t0 - cutoff)) * scaled.real
-        return self.coefficient * factor
+        z = rho * (np.asarray(ts, dtype=float) - cutoff)
+        scaled = _upper_gamma_scaled(1.0 - alpha, z).real
+        factor = rho ** alpha * math.exp(-rho * (self.t0 - cutoff)) * scaled
+        return np.outer(factor, self.coefficient)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -290,21 +283,23 @@ class PiecewiseConstantRamp(HistoryFunction):
     def sup_derivative(self) -> float:
         return float(np.linalg.norm(self.slope))
 
-    def closed_forcing(self, t, alpha):
-        dt0 = max(t - self.t0, 0.0)
-        dr = t - self.ramp_start
+    def closed_forcing(self, ts, alpha):
+        ts = np.asarray(ts, dtype=float)
+        dt0 = np.maximum(ts - self.t0, 0.0)
+        dr = ts - self.ramp_start
         factor = (dr ** (1.0 - alpha) - dt0 ** (1.0 - alpha)) * reciprocal_gamma(
             2.0 - alpha
         )
-        return self.slope * factor
+        return np.outer(factor, self.slope)
 
-    def tail_integral(self, t, alpha, cutoff):
+    def tail_integral(self, ts, alpha, cutoff):
+        ts = np.asarray(ts, dtype=float)
         if cutoff <= self.ramp_start:
-            return np.zeros(self.dim)
-        dr = t - self.ramp_start
-        dc = t - cutoff
+            return np.zeros((ts.shape[0], self.dim))
+        dr = ts - self.ramp_start
+        dc = ts - cutoff
         factor = (dr ** (1.0 - alpha) - dc ** (1.0 - alpha)) / (1.0 - alpha)
-        return self.slope * factor
+        return np.outer(factor, self.slope)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -319,6 +314,8 @@ class FloquetForm(HistoryFunction):
     lam: complex
     omega: float
     coeffs: Mapping[int, np.ndarray]
+
+    complex_valued: ClassVar[bool] = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -376,19 +373,21 @@ class FloquetForm(HistoryFunction):
             )
         )
 
-    def closed_forcing(self, t, alpha):
-        return self.tail_integral(t, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
+    def closed_forcing(self, ts, alpha):
+        return self.tail_integral(ts, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
 
-    def tail_integral(self, t, alpha, cutoff):
-        out = np.zeros(self.dim, dtype=complex)
-        for k, p in self.coeffs.items():
-            mu = self._mu(k)
-            if mu == 0.0:
-                continue
-            z = _clean_arg(mu * (t - cutoff))
-            scaled = _scaled_upper_gamma(1.0 - alpha, z)
-            out += p * principal_power(mu, alpha) * cmath.exp(mu * cutoff) * scaled
-        return out
+    def tail_integral(self, ts, alpha, cutoff):
+        # harmonic k contributes p_k mu_k^alpha e^{mu_k cutoff} e^z Gamma(1 - alpha, z)
+        # with z = mu_k (t - cutoff): one (len(ts), K) array of z against the
+        # (K, dim) coefficient matrix; a harmonic with mu_k = 0 is constant
+        # and contributes nothing
+        mu = self.lam + 1j * self.omega * np.fromiter(self.coeffs, dtype=float)
+        p = np.array(list(self.coeffs.values()))
+        live = mu != 0.0
+        mu, p = mu[live], p[live]
+        z = (np.asarray(ts, dtype=float) - cutoff)[:, None] * mu[None, :]
+        weight = principal_power(mu, alpha) * np.exp(mu * cutoff)
+        return (_upper_gamma_scaled(1.0 - alpha, z) * weight) @ p
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -495,17 +494,18 @@ class Sampled(HistoryFunction):
     def tail_cutoff(self) -> float:
         return min(float(self.grid[0]), self.t0 - self.eta)
 
-    def tail_integral(self, t, alpha, cutoff):
+    def tail_integral(self, ts, alpha, cutoff):
         # left of the grid the history is constant
-        return np.zeros(self.dim)
+        return np.zeros((len(ts), self.dim))
 
-    def closed_forcing(self, t, alpha):
+    def closed_forcing(self, ts, alpha):
         # piecewise-linear histories integrate exactly:
         # each interval contributes slope * [(t-lo)^(1-a) - (t-hi)^(1-a)]/(1-a)
         g = self.grid
+        ts = np.asarray(ts, dtype=float)[:, None]
         slopes = np.diff(self.samples, axis=0) / np.diff(g)[:, None]
-        lo = np.maximum(t - g[:-1], 0.0)
-        hi = np.maximum(t - g[1:], 0.0)
+        lo = np.maximum(ts - g[:-1], 0.0)
+        hi = np.maximum(ts - g[1:], 0.0)
         weights = lo ** (1.0 - alpha) - hi ** (1.0 - alpha)
         return (
             (weights @ slopes)
@@ -546,6 +546,8 @@ class ForcingEvaluator:
     "closed" and "quadrature" force one route (the two are compared
     against each other in the test-suite).  tail_split overrides the
     point below which the tail integral is evaluated analytically.
+    Both routes run through :func:`forcing_grid`; ``forcing(t)`` is a
+    grid of one time.
     """
 
     history: HistoryFunction
@@ -567,28 +569,8 @@ class ForcingEvaluator:
                     f"tail_split must lie at or below {limit_pt} for this history"
                 )
 
-    @property
-    def _complex(self) -> bool:
-        return isinstance(self.history, FloquetForm)
-
     def forcing(self, t: float) -> np.ndarray:
-        h = self.history
-        if t < h.t0 - _T_TOL * max(1.0, abs(h.t0)):
-            raise DomainError(f"forcing is defined for t >= t0 = {h.t0}, got {t}")
-        t = max(t, h.t0)
-        if self.alpha >= 1.0 - 1e-12:
-            # classical limit: 1/Gamma(1 - alpha) -> 0 and the forcing vanishes
-            dtype = complex if self._complex else float
-            return np.zeros(h.dim, dtype=dtype)
-        if self.method in ("auto", "closed"):
-            closed = h.closed_forcing(t, self.alpha)
-            if closed is not None:
-                return closed
-            if self.method == "closed":
-                raise DomainError(
-                    f"history kind {type(h).__name__} has no closed-form forcing"
-                )
-        return self._forcing_quadrature(t)
+        return forcing_grid(self, [t])[0]
 
     def _forcing_quadrature(self, t: float) -> np.ndarray:
         h = self.history
@@ -596,13 +578,13 @@ class ForcingEvaluator:
         a_near = h.t0 - h.eta
         cutoff = self.tail_split if self.tail_split is not None else h.tail_cutoff()
         total = np.asarray(
-            self._near_integral(t, a_near, h.t0), dtype=complex if self._complex else float
+            self._near_integral(t, a_near, h.t0), dtype=complex if h.complex_valued else float
         )
         if cutoff < a_near - 1e-13:
             total = total + self._by_parts_integral(t, cutoff, a_near)
-        total = total + h.tail_integral(t, alpha, cutoff)
+        total = total + h.tail_integral(np.array([t]), alpha, cutoff)[0]
         out = total * reciprocal_gamma(1.0 - alpha)
-        return out if self._complex else np.asarray(out, dtype=float)
+        return out if h.complex_valued else np.asarray(out, dtype=float)
 
     def _segments(self, a: float, b: float) -> list[tuple[float, float]]:
         pts = sorted(k for k in self.history.kinks() if a < k < b)
@@ -617,7 +599,7 @@ class ForcingEvaluator:
         out = []
         err_total = 0.0
         for i in range(h.dim):
-            acc = 0.0j if self._complex else 0.0
+            acc = 0.0j if h.complex_valued else 0.0
             for lo, hi in self._segments(a, b):
                 fd = lambda tau, i=i: h.derivative(tau)[i]
                 if singular and hi == b:
@@ -625,7 +607,7 @@ class ForcingEvaluator:
                         fd,
                         lo,
                         hi,
-                        self._complex,
+                        h.complex_valued,
                         weight="alg",
                         wvar=(0.0, -alpha),
                         epsabs=self.tolerance,
@@ -638,7 +620,7 @@ class ForcingEvaluator:
                         fk,
                         lo,
                         hi,
-                        self._complex,
+                        h.complex_valued,
                         epsabs=self.tolerance,
                         epsrel=self.tolerance,
                         limit=self.limit,
@@ -674,7 +656,7 @@ class ForcingEvaluator:
                     fk,
                     a,
                     b,
-                    self._complex,
+                    h.complex_valued,
                     epsabs=self.tolerance,
                     epsrel=self.tolerance,
                     limit=self.limit,
@@ -721,38 +703,39 @@ class ForcingEvaluator:
         return flat_w @ vals
 
 
-def forcing(fe: ForcingEvaluator, t: float) -> np.ndarray:
-    return fe.forcing(t)
+def forcing_grid(fe: ForcingEvaluator, ts) -> np.ndarray:
+    """F x0 at every time of the 1-D array ts, shape (len(ts), dim).
 
-
-def forcing_grid(fe: ForcingEvaluator, ts: np.ndarray) -> np.ndarray:
-    """F x0 on a whole grid of times at once, shape (len(ts), dim).
-
-    Sinusoid histories on the "auto" and "closed" routes use a
-    vectorized form of their closed expression for the full half-line
-    integral (incomplete gamma of imaginary argument); every other case,
-    "quadrature" included, falls back on per-point evaluation.
+    This is the only forcing path.  Times a rounding error left of t0
+    are clamped onto it, and in the classical limit alpha = 1 the
+    forcing vanishes.  Otherwise the grid is taken in chunks of at most
+    _CHUNK times.  On "auto" and "closed" each chunk is one call of the
+    history's array-valued closed form; on "quadrature", or on "auto"
+    for a kind with no closed form, every time is integrated on its
+    own, and "closed" for such a kind is a DomainError.
     """
     h = fe.history
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < h.t0 - _T_TOL * max(1.0, abs(h.t0))):
-        raise DomainError("forcing grid must lie at or right of t0")
+        raise DomainError(f"forcing is defined for t >= t0 = {h.t0}, got {ts.min()}")
     ts = np.maximum(ts, h.t0)
-    if fe.alpha >= 1.0 - 1e-12 or isinstance(h, Constant):
-        dtype = complex if isinstance(h, FloquetForm) else float
-        return np.zeros((ts.shape[0], h.dim), dtype=dtype)
-    if isinstance(h, TruncatedSinusoid) and fe.method in ("auto", "closed"):
-        alpha = fe.alpha
-        om = h.frequency
-        from .specfun import upper_incomplete_gamma_vec
-
-        z = 1j * om * (ts - h.t0)
-        g = upper_incomplete_gamma_vec(1.0 - alpha, z)
-        rot = om ** (alpha - 1.0) * cmath.exp(0.5j * math.pi * (alpha - 1.0))
-        factor = (np.exp(1j * (om * ts + h.phase)) * rot * g).real
-        factor = factor * om * reciprocal_gamma(1.0 - alpha)
-        return factor[:, None] * h.amplitude[None, :]
-    return np.array([fe.forcing(t) for t in ts])
+    out = np.zeros((ts.shape[0], h.dim), dtype=complex if h.complex_valued else float)
+    if fe.alpha >= 1.0 - 1e-12:
+        # classical limit: 1/Gamma(1 - alpha) -> 0 and the forcing vanishes
+        return out
+    closed = fe.method != "quadrature"
+    for lo in range(0, ts.shape[0], _CHUNK):
+        chunk = ts[lo : lo + _CHUNK]
+        vals = h.closed_forcing(chunk, fe.alpha) if closed else None
+        if vals is None:
+            if fe.method == "closed":
+                raise DomainError(
+                    f"history kind {type(h).__name__} has no closed-form forcing"
+                )
+            closed = False
+            vals = [fe._forcing_quadrature(t) for t in chunk]
+        out[lo : lo + chunk.shape[0]] = vals
+    return out
 
 
 def parse_history(doc: Mapping) -> HistoryFunction:

@@ -671,14 +671,14 @@ def floquet_real_combination(
     )
 
 
-def verify_floquet(
+def compare_floquet(
     ep: Eigenpair,
     spec: SystemSpec,
     t_end: float,
     dt: float,
     forcing_method: str = "auto",
-) -> float:
-    """Max relative gap between the Floquet form and a simulated run.
+) -> tuple[Trajectory, Trajectory, float]:
+    """The marched and the reconstructed trajectory, and their max relative gap.
 
     The reconstructed solution on t <= 0 becomes the history of a
     Liouville-Weyl initial value problem; its trajectory is then
@@ -703,4 +703,16 @@ def verify_floquet(
     hill = reconstruct_floquet(ep, spec, sim.times)
     diff = np.linalg.norm(sim.values - hill.values, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(hill.values, axis=1))
-    return float(np.max(diff / scale))
+    return sim, hill, float(np.max(diff / scale))
+
+
+def verify_floquet(
+    ep: Eigenpair,
+    spec: SystemSpec,
+    t_end: float,
+    dt: float,
+    forcing_method: str = "auto",
+) -> float:
+    """Max relative gap between the Floquet form and a simulated run
+    (see :func:`compare_floquet`)."""
+    return compare_floquet(ep, spec, t_end, dt, forcing_method)[2]

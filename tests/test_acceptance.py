@@ -23,7 +23,6 @@ from frachill.history import (
     PiecewiseConstantRamp,
     Sampled,
     TruncatedSinusoid,
-    forcing,
     forcing_bound_constant,
 )
 from frachill.hill import assemble, sigma_min_and_nullvector, sigma_min_grid
@@ -187,7 +186,7 @@ def test_forcing_closed_forms_bounds_and_rejections():
     g2 = math.gamma(2.0 - alpha)
     worst_ramp = max(
         abs(
-            forcing(quad_r, t)[0]
+            quad_r.forcing(t)[0]
             - (t ** (1.0 - alpha) - (t + 1.0) ** (1.0 - alpha)) / g2
         )
         for t in grid
@@ -195,7 +194,7 @@ def test_forcing_closed_forms_bounds_and_rejections():
     quad_e = ForcingEvaluator(expo, alpha, method="quadrature")
     worst_expo = max(
         abs(
-            forcing(quad_e, t)[0]
+            quad_e.forcing(t)[0]
             - math.exp(t) * float(sp.gammaincc(1.0 - alpha, t))
         )
         for t in grid
@@ -208,7 +207,7 @@ def test_forcing_closed_forms_bounds_and_rejections():
         C, eta = forcing_bound_constant(fe)
         cap = 2.0 * h.norm_inf() / math.gamma(1.0 - alpha)
         for t in grid:
-            norm = float(np.linalg.norm(forcing(fe, t)))
+            norm = float(np.linalg.norm(fe.forcing(t)))
             bounds_ok &= norm <= C * (t + eta) ** (-alpha) + 1e-8
             if t > 0.0:
                 bounds_ok &= norm <= cap * t ** (-alpha) + 1e-8

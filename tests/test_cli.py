@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from frachill.cli import run
 from frachill.history import Constant, ForcingEvaluator, forcing_grid, parse_history
@@ -60,6 +61,24 @@ class TestMl:
         re_s, im_s = out.split(",")
         expected = mittag_leffler(0.7, 2.0, 0.3 + 0.4j)
         assert complex(float(re_s), float(im_s)) == expected
+
+
+    def test_overflow_prints_inf(self, capsys):
+        # E_{0.3,1}(10) = exp(10^(10/3)) / 0.3 is beyond double precision
+        assert run(["ml", "--alpha", "0.3", "--z", "10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "inf,0"
+        assert captured.err == ""
+
+    def test_sector_boundary(self, capsys):
+        # 4 e^{i pi/2}, on the boundary |arg z| = alpha pi of E_{1/2,1}
+        z = "2.4492935982947064e-16+4i"
+        assert run(["ml", "--alpha", "0.5", "--z", z]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        re_s, im_s = captured.out.strip().split(",")
+        want = wofz(-1j * complex(z.replace("i", "j")))
+        assert abs(complex(float(re_s), float(im_s)) - want) <= 1e-9
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from frachill.hill import (
     sigma_min_and_nullvector,
     sigma_min_grid,
 )
-from frachill.system import make_system, principal_power, principal_power_grid
+from frachill.system import make_system, principal_power
 
 
 def constant_spec(a, alpha=0.5, omega=1.0):
@@ -40,23 +41,29 @@ def mathieu_spec(c=1.0, d=2.0, alpha=1.0, omega=2.0):
 
 class TestPrincipalPowerGrid:
     def test_matches_scalar(self):
+        # an array and each of its entries alone, against mpmath's
+        # principal branch exp(alpha log w), 0^alpha = 0
         rng = np.random.default_rng(11)
         ws = rng.normal(size=50) + 1j * rng.normal(size=50)
         ws = np.concatenate(
             [ws, [0.0, -1.0, 4.0, 1j, -1j, complex(-2.0, 0.0)]]
         )
         for alpha in (0.3, 0.5, 0.9, 1.0):
-            vec = principal_power_grid(ws, alpha)
-            ref = np.array([principal_power(w, alpha) for w in ws])
+            vec = principal_power(ws, alpha)
+            ref = np.array(
+                [0.0 if w == 0 else complex(mp.exp(alpha * mp.log(mp.mpc(w)))) for w in ws]
+            )
             np.testing.assert_allclose(vec, ref, atol=1e-14)
+            one_by_one = [principal_power(w, alpha) for w in ws]
+            np.testing.assert_allclose(vec, one_by_one, rtol=0, atol=1e-15)
 
     def test_negative_real_axis_uses_upper_branch(self):
-        out = principal_power_grid(np.array([complex(-1.0, -0.0)]), 0.5)
+        out = principal_power(np.array([complex(-1.0, -0.0)]), 0.5)
         assert out[0] == pytest.approx(1j, abs=1e-15)
 
     def test_alpha_validation(self):
         with pytest.raises(DomainError):
-            principal_power_grid(np.array([1.0 + 0j]), 1.5)
+            principal_power(np.array([1.0 + 0j]), 1.5)
 
 
 class TestAssemble:

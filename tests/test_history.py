@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,6 +15,7 @@ from frachill.errors import (
     UnboundedHistoryError,
 )
 from frachill.history import (
+    _CHUNK,
     Constant,
     ExpGrowth,
     FloquetForm,
@@ -24,7 +26,6 @@ from frachill.history import (
     TruncatedSinusoid,
     eval_history,
     eval_history_derivative,
-    forcing,
     forcing_bound_constant,
     forcing_grid,
     parse_history,
@@ -175,7 +176,7 @@ class TestRejections:
         v = np.array([mittag_leffler(alpha, 1.0, -((t + 1.0) ** alpha)) for t in g])
         h = Sampled(grid=g, samples=v.real, tail_value=[float(v[0].real)], eta=0.5)
         fe = ForcingEvaluator(h, alpha)
-        out = forcing(fe, 0.0)
+        out = fe.forcing(0.0)
         assert np.all(np.isfinite(out))
 
 
@@ -183,14 +184,14 @@ class TestClosedForms:
     def test_constant_forcing_vanishes(self):
         fe = ForcingEvaluator(Constant(values=[1.0, 2.0]), 0.5)
         for t in (0.0, 1.0, 17.3):
-            np.testing.assert_allclose(forcing(fe, t), [0.0, 0.0])
+            np.testing.assert_allclose(fe.forcing(t), [0.0, 0.0])
 
     def test_ramp_value(self):
         fe = ForcingEvaluator(
             PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0), 0.5
         )
         expected = (1.0 - math.sqrt(2.0)) / gamma(1.5)
-        np.testing.assert_allclose(forcing(fe, 1.0), [expected], atol=1e-12)
+        np.testing.assert_allclose(fe.forcing(1.0), [expected], atol=1e-12)
 
     def test_exp_growth_value(self):
         fe = ForcingEvaluator(ExpGrowth(rate=1.0, coefficient=[1.0]), 0.5)
@@ -199,31 +200,31 @@ class TestClosedForms:
             * upper_incomplete_gamma(0.5, 2.0).real
             / gamma(0.5)
         )
-        np.testing.assert_allclose(forcing(fe, 2.0), [expected], atol=1e-12)
+        np.testing.assert_allclose(fe.forcing(2.0), [expected], atol=1e-12)
         assert expected == pytest.approx(0.33620400244634121285, abs=1e-12)
 
     def test_sinusoid_frozen_values(self):
         h = TruncatedSinusoid(amplitude=[1.0])
         for (alpha, t), ref in SIN_FORCING.items():
             fe = ForcingEvaluator(h, alpha)
-            np.testing.assert_allclose(forcing(fe, t), [ref], atol=1e-8)
+            np.testing.assert_allclose(fe.forcing(t), [ref], atol=1e-8)
 
     def test_sinusoid_general_frozen_values(self):
         h = TruncatedSinusoid(amplitude=[2.0], phase=0.7, frequency=3.0, t0=-0.5)
         fe = ForcingEvaluator(h, 0.6)
         for t, ref in SIN_FORCING_GENERAL.items():
-            np.testing.assert_allclose(forcing(fe, t), [ref], atol=1e-8)
+            np.testing.assert_allclose(fe.forcing(t), [ref], atol=1e-8)
 
     def test_floquet_frozen_values(self):
         h = FloquetForm(lam=0.2 + 0.3j, omega=1.0, coeffs={0: [1.0], 1: [0.5]})
         fe = ForcingEvaluator(h, 0.5)
         for t, ref in FLOQUET_FORCING.items():
-            got = forcing(fe, t)
+            got = fe.forcing(t)
             assert abs(got[0] - ref) < 1e-9
 
     def test_classical_limit_forcing_vanishes(self):
         fe = ForcingEvaluator(TruncatedSinusoid(amplitude=[1.0]), 1.0)
-        np.testing.assert_allclose(forcing(fe, 2.0), [0.0])
+        np.testing.assert_allclose(fe.forcing(2.0), [0.0])
 
 
 class TestQuadratureRoute:
@@ -236,7 +237,7 @@ class TestQuadratureRoute:
         quadr = ForcingEvaluator(h, alpha, method="quadrature")
         for t in np.linspace(0.0, 20.0, 21):
             np.testing.assert_allclose(
-                forcing(quadr, t), forcing(closed, t), atol=1e-7
+                quadr.forcing(t), closed.forcing(t), atol=1e-7
             )
 
     def test_exp_growth_with_explicit_tail_split(self):
@@ -245,7 +246,7 @@ class TestQuadratureRoute:
         quadr = ForcingEvaluator(h, 0.5, method="quadrature", tail_split=-6.0)
         for t in (0.0, 1.0, 8.0):
             np.testing.assert_allclose(
-                forcing(quadr, t), forcing(closed, t), atol=1e-8
+                quadr.forcing(t), closed.forcing(t), atol=1e-8
             )
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -255,7 +256,7 @@ class TestQuadratureRoute:
         quadr = ForcingEvaluator(h, alpha, method="quadrature")
         for t in np.linspace(0.0, 20.0, 21):
             np.testing.assert_allclose(
-                forcing(quadr, t), forcing(closed, t), atol=1e-7
+                quadr.forcing(t), closed.forcing(t), atol=1e-7
             )
 
     def test_floquet_agreement(self):
@@ -264,7 +265,7 @@ class TestQuadratureRoute:
         quadr = ForcingEvaluator(h, 0.5, method="quadrature")
         for t in (0.0, 0.7, 3.0):
             np.testing.assert_allclose(
-                forcing(quadr, t), forcing(closed, t), atol=1e-8
+                quadr.forcing(t), closed.forcing(t), atol=1e-8
             )
 
     def test_sampled_agreement(self):
@@ -273,7 +274,7 @@ class TestQuadratureRoute:
         quadr = ForcingEvaluator(h, 0.5, method="quadrature")
         for t in (0.0, 1.0, 5.0):
             np.testing.assert_allclose(
-                forcing(quadr, t), forcing(closed, t), atol=1e-7
+                quadr.forcing(t), closed.forcing(t), atol=1e-7
             )
 
     def test_sampled_against_brute_force(self):
@@ -287,7 +288,7 @@ class TestQuadratureRoute:
             part, _ = quad(lambda tau: (t - tau) ** -0.5 * s, lo, hi)
             val += part
         val /= gamma(0.5)
-        np.testing.assert_allclose(forcing(fe, t), [val], atol=1e-9)
+        np.testing.assert_allclose(fe.forcing(t), [val], atol=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_sinusoid_agreement(self, alpha, monkeypatch):
@@ -297,7 +298,7 @@ class TestQuadratureRoute:
         ts = np.linspace(-0.5, 10.0, 8)
         expect = forcing_grid(closed, ts)
         for t, ref in zip(ts, expect):
-            np.testing.assert_allclose(forcing(closed, t), ref, atol=1e-12)
+            np.testing.assert_allclose(closed.forcing(t), ref, atol=1e-12)
         # the quadrature route must really integrate, also on a grid
         calls = []
         integrate = ForcingEvaluator._forcing_quadrature
@@ -312,6 +313,80 @@ class TestQuadratureRoute:
     def test_no_closed_form_error(self):
         with pytest.raises(DomainError):
             ForcingEvaluator(_NoClosedForm(), 0.5, method="closed").forcing(1.0)
+
+
+# one history of each kind, all of dimension 2
+TWO_DIM_KINDS = {
+    "constant": Constant(values=[1.0, -2.0]),
+    "sinusoid": TruncatedSinusoid(amplitude=[1.0, 0.5], frequency=2.0),
+    "exp": ExpGrowth(rate=0.5, coefficient=[1.0, 2.0]),
+    "ramp": PiecewiseConstantRamp(far_value=[1.0, -1.0], ramp_start=-2.0),
+    "floquet": FloquetForm(
+        lam=0.2 + 0.3j, omega=1.0, coeffs={0: [1.0, 0.0], 1: [0.5, 1.0j]}
+    ),
+    "sampled": sampled_sine(n=20, dim=2),
+}
+
+
+class TestForcingGrid:
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    @pytest.mark.parametrize("kind", sorted(TWO_DIM_KINDS))
+    def test_shapes(self, kind, method):
+        fe = ForcingEvaluator(TWO_DIM_KINDS[kind], 0.5, method=method)
+        assert forcing_grid(fe, []).shape == (0, 2)
+        assert forcing_grid(fe, np.array([1.5])).shape == (1, 2)
+        assert fe.forcing(1.5).shape == (2,)
+
+    def test_chunk_boundaries(self):
+        # a grid longer than two chunks matches its points evaluated alone
+        fe = ForcingEvaluator(TWO_DIM_KINDS["floquet"], 0.5)
+        ts = np.linspace(0.0, 30.0, 2 * _CHUNK + 5)
+        grid = forcing_grid(fe, ts)
+        for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK, ts.shape[0] - 1):
+            np.testing.assert_allclose(grid[i], fe.forcing(ts[i]), rtol=0, atol=1e-15)
+
+    def test_classical_limit_keeps_the_dtype(self):
+        fe = ForcingEvaluator(TWO_DIM_KINDS["floquet"], 1.0)
+        out = forcing_grid(fe, np.array([0.0, 1.0]))
+        assert out.dtype == complex and not out.any()
+
+
+class TestLongHorizonOracle:
+    """Closed forms against mpmath where e^{mu t} alone overflows."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_exp_growth(self, alpha):
+        # F(t) = c rho^alpha e^{rho t} Gamma(1 - alpha, rho t) / Gamma(1 - alpha);
+        # at rho t = 1e4 the factor e^{rho t} is far beyond double range, so
+        # only the scaled incomplete gamma keeps this finite
+        rho = 0.5
+        fe = ForcingEvaluator(ExpGrowth(rate=rho, coefficient=[1.5]), alpha)
+        ts = np.array([0.0, 1.0, 90.0, 1500.0, 2e4])
+        got = forcing_grid(fe, ts)[:, 0]
+        with mp.workdps(30):
+            a = 1 - mp.mpf(alpha)
+            for g, t in zip(got, ts):
+                x = mp.mpf(rho) * mp.mpf(t)
+                ref = 1.5 * mp.mpf(rho) ** alpha * mp.exp(x) * mp.gammainc(a, x) / mp.gamma(a)
+                assert abs(g - ref) <= 1e-12 * abs(ref), t
+
+    def test_floquet(self):
+        # sum_k p_k mu_k^alpha e^{z_k} Gamma(1 - alpha, z_k) / Gamma(1 - alpha),
+        # z_k = mu_k t, with Re z_k up to 800
+        h = FloquetForm(lam=0.8 + 0.1j, omega=1.5, coeffs={-2: [0.3], 0: [1.0], 3: [0.5j]})
+        fe = ForcingEvaluator(h, 0.4)
+        ts = np.array([0.0, 2.5, 40.0, 1000.0])
+        got = forcing_grid(fe, ts)[:, 0]
+        with mp.workdps(30):
+            a = 1 - mp.mpf(0.4)
+            for g, t in zip(got, ts):
+                ref = 0
+                for k, (p,) in h.coeffs.items():
+                    mu = mp.mpc(0.8, 0.1 + 1.5 * k)
+                    z = mu * mp.mpf(t)
+                    ref += mp.mpc(complex(p)) * mu ** mp.mpf(0.4) * mp.exp(z) * mp.gammainc(a, z)
+                ref /= mp.gamma(a)
+                assert abs(mp.mpc(complex(g)) - ref) <= 1e-12 * abs(ref), t
 
 
 class TestBounds:
@@ -347,7 +422,7 @@ class TestBounds:
         fe = ForcingEvaluator(hist, alpha)
         C, eta = forcing_bound_constant(fe)
         for t in np.arange(0.0, 50.01, 0.5):
-            norm = np.linalg.norm(forcing(fe, t))
+            norm = np.linalg.norm(fe.forcing(t))
             assert norm <= C * (t - hist.t0 + eta) ** (-alpha) + 1e-8
 
     @pytest.mark.parametrize(
@@ -365,14 +440,14 @@ class TestBounds:
         fe = ForcingEvaluator(hist, alpha)
         cap = 2.0 * hist.norm_inf() / gamma(1.0 - alpha)
         for t in np.arange(0.5, 50.01, 0.5):
-            norm = np.linalg.norm(forcing(fe, t))
+            norm = np.linalg.norm(fe.forcing(t))
             assert norm <= cap * t ** (-alpha) + 1e-8
 
     def test_continuity(self):
         fe = ForcingEvaluator(TruncatedSinusoid(amplitude=[1.0]), 0.5)
         for t in (0.0, 1.3):
             diffs = [
-                abs(forcing(fe, t + h)[0] - forcing(fe, t)[0])
+                abs(fe.forcing(t + h)[0] - fe.forcing(t)[0])
                 for h in (1e-2, 1e-3, 1e-4)
             ]
             assert diffs[0] > diffs[1] > diffs[2]
@@ -428,7 +503,7 @@ class TestParseHistory:
         h = parse_history(doc)
         fe = ForcingEvaluator(h, 0.6)
         np.testing.assert_allclose(
-            forcing(fe, 0.8), [SIN_FORCING_GENERAL[0.8]], atol=1e-8
+            fe.forcing(0.8), [SIN_FORCING_GENERAL[0.8]], atol=1e-8
         )
 
     def test_schema_errors(self):
@@ -468,4 +543,4 @@ class TestEvaluatorConfig:
     def test_pre_t0_rejected(self):
         fe = ForcingEvaluator(Constant(values=[1.0]), 0.5)
         with pytest.raises(DomainError):
-            forcing(fe, -0.5)
+            fe.forcing(-0.5)
