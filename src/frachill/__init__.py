@@ -37,11 +37,9 @@ from .history import (
     parse_history,
 )
 from .hill import (
-    HillEvaluation,
     HillMatrix,
     assemble,
     evaluate_grid,
-    log_abs_det,
     sigma_min_and_nullvector,
     sigma_min_grid,
 )
@@ -108,11 +106,9 @@ __all__ = [
     "forcing_bound_constant",
     "forcing_grid",
     "parse_history",
-    "HillEvaluation",
     "HillMatrix",
     "assemble",
     "evaluate_grid",
-    "log_abs_det",
     "sigma_min_and_nullvector",
     "sigma_min_grid",
     "IvpProblem",

@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
         header,
         rows,
         "simulate",
-        {"t_end": args.t_end, "dt": args.dt, "threads": args.threads},
+        {"t_end": args.t_end, "dt": args.dt},
         {
             "system": {"path": args.system, "sha256": sys_hash},
             "history": {"path": args.history, "sha256": hist_hash},
@@ -215,12 +215,7 @@ def _cmd_forcing(args) -> int:
         header,
         rows,
         "forcing",
-        {
-            "alpha": args.alpha,
-            "method": args.method,
-            "grid": args.grid,
-            "threads": args.threads,
-        },
+        {"alpha": args.alpha, "method": args.method, "grid": args.grid},
         {"history": {"path": args.history, "sha256": hist_hash}},
         started,
     )
@@ -245,7 +240,7 @@ def _cmd_hill_det(args) -> int:
         ["re", "im", "log_abs_det", "sigma_min"],
         rows,
         "hill-det",
-        {"N": args.N, "re": args.re, "im": args.im, "threads": args.threads},
+        {"N": args.N, "re": args.re, "im": args.im},
         {"system": {"path": args.system, "sha256": sys_hash}},
         started,
     )
@@ -264,23 +259,26 @@ def _eig_rows(pairs) -> list[list[str]]:
     ]
 
 
-def _cmd_eig(args) -> int:
-    started = time.perf_counter()
+def _search(args):
+    """Load --system and search --strip at --N, --tol.
+
+    Returns the system, the hash of its file and the eigenpairs.
+    """
     sys_doc, sys_hash = _load_json(args.system)
     spec = parse_system(sys_doc)
     strip = _parse_strip(args.strip) if args.strip else None
-    pairs = find_eigenvalues(spec, args.N, strip=strip, tol=args.tol)
+    return spec, sys_hash, find_eigenvalues(spec, args.N, strip=strip, tol=args.tol)
+
+
+def _cmd_eig(args) -> int:
+    started = time.perf_counter()
+    _, sys_hash, pairs = _search(args)
     _emit(
         args.out,
         ["re", "im", "residual", "classification"],
         _eig_rows(pairs),
         "eig",
-        {
-            "N": args.N,
-            "tol": args.tol,
-            "strip": args.strip,
-            "threads": args.threads,
-        },
+        {"N": args.N, "tol": args.tol, "strip": args.strip},
         {"system": {"path": args.system, "sha256": sys_hash}},
         started,
     )
@@ -299,10 +297,7 @@ def _select_pair(pairs, index: int):
 
 def _cmd_floquet(args) -> int:
     started = time.perf_counter()
-    sys_doc, sys_hash = _load_json(args.system)
-    spec = parse_system(sys_doc)
-    strip = _parse_strip(args.strip) if args.strip else None
-    pairs = find_eigenvalues(spec, args.N, strip=strip, tol=args.tol)
+    spec, sys_hash, pairs = _search(args)
     ep = _select_pair(pairs, args.index)
     times = _grid(0.0, args.t_end, args.dt)
     tr = reconstruct_floquet(ep, spec, times)
@@ -321,7 +316,6 @@ def _cmd_floquet(args) -> int:
             "lambda_im": ep.lam.imag,
             "t_end": args.t_end,
             "dt": args.dt,
-            "threads": args.threads,
         },
         {"system": {"path": args.system, "sha256": sys_hash}},
         started,
@@ -330,10 +324,7 @@ def _cmd_floquet(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sys_doc, _ = _load_json(args.system)
-    spec = parse_system(sys_doc)
-    strip = _parse_strip(args.strip) if args.strip else None
-    pairs = find_eigenvalues(spec, args.N, strip=strip, tol=args.tol)
+    spec, _, pairs = _search(args)
     print("lambda_re,lambda_im,max_rel_err")
     for ep in pairs:
         if ep.classification != "valid-floquet":
@@ -545,24 +536,13 @@ def _cmd_reproduce(args) -> int:
     return 0 if "FAIL" not in report else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="cap on internal parallelism (current implementation is serial)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None, help="reserved; no stochastic components"
-    )
+    # the eigenvalue search shared by eig, floquet and verify
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--system", required=True)
+    search.add_argument("--N", type=int, required=True)
+    search.add_argument("--tol", type=float, default=1e-9)
+    search.add_argument("--strip", default=None, help="re0:re1:im0:im1")
 
     parser = argparse.ArgumentParser(
         prog="frachill",
@@ -570,15 +550,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ml", parents=[common], help="evaluate E_{alpha,beta}(z)")
+    p = sub.add_parser("ml", help="evaluate E_{alpha,beta}(z)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--z", required=True, help='complex number, e.g. "0.5+0.25i"')
     p.set_defaults(func=_cmd_ml)
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="march an infinite-history problem"
-    )
+    p = sub.add_parser("simulate", help="march an infinite-history problem")
     p.add_argument("--system", required=True)
     p.add_argument("--history", required=True)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
@@ -586,9 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "forcing", parents=[common], help="evaluate the history forcing term"
-    )
+    p = sub.add_parser("forcing", help="evaluate the history forcing term")
     p.add_argument("--history", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--grid", required=True, help="start:stop:count")
@@ -598,9 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_forcing)
 
-    p = sub.add_parser(
-        "hill-det", parents=[common], help="determinant map over a lambda grid"
-    )
+    p = sub.add_parser("hill-det", help="determinant map over a lambda grid")
     p.add_argument("--system", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--re", required=True, help="start:stop:count")
@@ -609,22 +583,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hill_det)
 
     p = sub.add_parser(
-        "eig", parents=[common], help="search Floquet exponents in a strip"
+        "eig", parents=[search], help="search Floquet exponents in a strip"
     )
-    p.add_argument("--system", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--strip", default=None, help="re0:re1:im0:im1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eig)
 
     p = sub.add_parser(
-        "floquet", parents=[common], help="reconstruct y(t) = e^{lt} p(t)"
+        "floquet", parents=[search], help="reconstruct y(t) = e^{lt} p(t)"
     )
-    p.add_argument("--system", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--strip", default=None, help="re0:re1:im0:im1")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--dt", type=float, required=True)
@@ -632,26 +598,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_floquet)
 
     p = sub.add_parser(
-        "verify", parents=[common], help="cross-check eigenpairs by marching"
+        "verify", parents=[search], help="cross-check eigenpairs by marching"
     )
-    p.add_argument("--system", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--strip", default=None, help="re0:re1:im0:im1")
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--dt", type=float, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "lti", parents=[common], help="classify constant-matrix eigenvalues"
-    )
+    p = sub.add_parser("lti", help="classify constant-matrix eigenvalues")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--matrix", required=True)
     p.set_defaults(func=_cmd_lti)
 
-    p = sub.add_parser(
-        "reproduce", parents=[common], help="emit reference data and report"
-    )
+    p = sub.add_parser("reproduce", help="emit reference data and report")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_reproduce)
 
@@ -692,8 +650,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(_normalize_argv(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.seed is not None:
-        log.info("--seed is reserved; no stochastic components use it")
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -19,9 +19,7 @@ from frachill.system import SystemSpec, principal_power
 
 __all__ = [
     "HillMatrix",
-    "HillEvaluation",
     "assemble",
-    "log_abs_det",
     "sigma_min_and_nullvector",
     "sigma_min_grid",
     "det_phase_and_log_derivative",
@@ -43,18 +41,20 @@ class HillMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class HillEvaluation:
-    """Determinant and conditioning summary of one assembled matrix.
+# matrix entries stacked per batched LAPACK call: about 64 MB of
+# complex matrices, whatever the matrix order
+_STACK_ENTRIES = 4_000_000
 
-    log_abs_det is -inf and det_phase is 0 when the determinant vanishes
-    exactly; otherwise det_phase is the unit complex number det/|det|.
-    """
 
-    lam: complex
-    log_abs_det: float
-    det_phase: complex
-    sigma_min: float
+def _truncation_order(N) -> int:
+    """N as an int; a DomainError unless it is an integer >= 0."""
+    try:
+        n = int(N)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != N or n < 0:
+        raise DomainError(f"truncation order must be an integer >= 0, got {N}")
+    return n
 
 
 def _toeplitz_part(spec: SystemSpec, N: int) -> np.ndarray:
@@ -91,34 +91,13 @@ def assemble(spec: SystemSpec, N: int, lam: complex) -> HillMatrix:
     restriction Re(lambda) >= 0 belongs to the eigenvalue search, not
     here.
     """
-    if int(N) != N or N < 0:
-        raise DomainError(f"truncation order must be an integer >= 0, got {N}")
-    N = int(N)
+    N = _truncation_order(N)
     lam = complex(lam)
     matrix = _toeplitz_part(spec, N)
     diag = np.arange(matrix.shape[0])
     matrix[diag, diag] -= _shifts(spec, N, np.array([lam]))[0]
     matrix.setflags(write=False)
     return HillMatrix(spec=spec, N=N, lam=lam, matrix=matrix)
-
-
-def log_abs_det(hm: HillMatrix) -> HillEvaluation:
-    """Evaluate log|det|, determinant phase, and sigma_min at hm.lam.
-
-    The determinant is taken from an LU factorization with partial
-    pivoting (log|det| = sum log|u_ii| with the phase tracked
-    separately) so that huge and tiny determinants never overflow.
-    """
-    phase, logdet = np.linalg.slogdet(hm.matrix)
-    sigma, _ = sigma_min_and_nullvector(hm)
-    if phase == 0.0:
-        logdet = -np.inf
-    return HillEvaluation(
-        lam=hm.lam,
-        log_abs_det=float(logdet),
-        det_phase=complex(phase),
-        sigma_min=sigma,
-    )
 
 
 def sigma_min_and_nullvector(hm: HillMatrix) -> tuple[float, np.ndarray]:
@@ -138,31 +117,28 @@ def sigma_min_and_nullvector(hm: HillMatrix) -> tuple[float, np.ndarray]:
     return float(s[-1]), v
 
 
-def _stacks(spec: SystemSpec, N: int, lams: np.ndarray, chunk_size):
+def _stacks(spec: SystemSpec, N: int, lams: np.ndarray):
     base = _toeplitz_part(spec, N)
     m = base.shape[0]
-    if chunk_size is None:
-        # about 64 MB of stacked matrices per chunk
-        chunk_size = max(1, 4_000_000 // (m * m))
-    for lo in range(0, len(lams), chunk_size):
-        chunk = np.asarray(lams[lo : lo + chunk_size], dtype=complex)
+    per_call = max(1, _STACK_ENTRIES // (m * m))
+    for lo in range(0, len(lams), per_call):
+        chunk = np.asarray(lams[lo : lo + per_call], dtype=complex)
         stack = np.broadcast_to(base, (len(chunk), m, m)).copy()
         diag = np.arange(m)
         stack[:, diag, diag] -= _shifts(spec, N, chunk)
         yield stack
 
 
-def sigma_min_grid(
-    spec: SystemSpec, N: int, lams, chunk_size: int | None = None
-) -> np.ndarray:
+def sigma_min_grid(spec: SystemSpec, N: int, lams) -> np.ndarray:
     """sigma_min of H_N over a whole array of lambda values.
 
     Stacked SVDs factor many small matrices per LAPACK call, which is
     what makes dense grid sweeps cheap.
     """
+    N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
     out = []
-    for stack in _stacks(spec, N, lams, chunk_size):
+    for stack in _stacks(spec, N, lams):
         out.append(np.linalg.svd(stack, compute_uv=False)[:, -1])
     return np.concatenate(out) if out else np.zeros(0)
 
@@ -177,11 +153,12 @@ def det_phase_and_log_derivative(
     logarithmic derivative is tr(H^-1 H').  Where det vanishes exactly
     the phase is 0 and the derivative infinite.
     """
+    N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
     rs = np.arange(-N, N + 1)
     phases, slopes = [], []
     lo = 0
-    for stack in _stacks(spec, N, lams, None):
+    for stack in _stacks(spec, N, lams):
         w = lams[lo : lo + len(stack), None] + 1j * spec.omega * rs[None, :]
         lo += len(stack)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,17 +175,17 @@ def det_phase_and_log_derivative(
     return np.concatenate(phases), np.concatenate(slopes)
 
 
-def evaluate_grid(
-    spec: SystemSpec, N: int, lams, chunk_size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(log_abs_det, sigma_min) arrays over a lambda grid.
+def evaluate_grid(spec: SystemSpec, N: int, lams) -> tuple[np.ndarray, np.ndarray]:
+    """(log|det H_N|, sigma_min) arrays over a lambda grid.
 
-    Exact singularities carry the -inf sentinel, matching
-    log_abs_det().
+    The determinant comes from an LU factorization with partial
+    pivoting (log|det| = sum log|u_ii|), so huge and tiny determinants
+    never overflow.  Exact singularities carry the -inf sentinel.
     """
+    N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
     logs, sigmas = [], []
-    for stack in _stacks(spec, N, lams, chunk_size):
+    for stack in _stacks(spec, N, lams):
         phase, logdet = np.linalg.slogdet(stack)
         logdet = np.where(phase == 0.0, -np.inf, logdet)
         logs.append(logdet)

@@ -10,12 +10,14 @@ is then defined and continuous for t >= t0 and decays like
 C (t - t0 + eta)^(-alpha).  Histories that break these requirements
 (backward-unbounded exponentials, derivative blow-up at t0) are refused.
 
-Every kind gives its closed form, where it has one, as one array-valued
-expression over a whole time array; :func:`forcing_grid` is the single
-entry point that evaluates the forcing, in closed form or by quadrature.
-The exponential, sinusoid and Floquet kinds reduce to scaled incomplete
-gammas e^z Gamma(1 - alpha, z), z = mu (t - t0), which stay finite for
-large Re z where e^z alone overflows.
+Every kind gives one analytic method, :meth:`HistoryFunction.tail_integral`:
+the integral above with its upper limit moved down to a cutoff, as one
+array-valued expression over a whole time array.  At cutoff = t0 it is
+Gamma(1 - alpha) F x0.  :func:`forcing_grid` is the single entry point
+that evaluates the forcing, analytically or by quadrature.  The
+exponential, sinusoid and Floquet kinds reduce to scaled incomplete
+gammas e^z Gamma(1 - alpha, z), z = mu (t - cutoff), which stay finite
+for large Re z where e^z alone overflows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Optional
+from typing import ClassVar, Mapping
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,7 +43,11 @@ from .system import principal_power
 
 _T_TOL = 1e-12
 
-# times per closed-form evaluation: bounds the (times x harmonics) and
+# per-integral accuracy and subinterval budget of the quadrature route
+_QUAD_TOL = 1e-10
+_QUAD_LIMIT = 200
+
+# times per analytic evaluation: bounds the (times x harmonics) and
 # (times x samples) work arrays of one chunk to a few MB
 _CHUNK = 2048
 
@@ -101,15 +107,12 @@ class HistoryFunction:
     def kinks(self) -> tuple[float, ...]:
         return ()
 
-    def closed_forcing(self, ts: np.ndarray, alpha: float) -> Optional[np.ndarray]:
-        """F x0 at each time of ts in closed form, shape (len(ts), dim),
-        or None when no closed form exists."""
-        return None
-
     def tail_integral(self, ts: np.ndarray, alpha: float, cutoff: float) -> np.ndarray:
         """integral_{-inf}^{cutoff} (t - tau)^(-alpha) x0'(tau) dtau, analytic,
-        at each time of ts, shape (len(ts), dim)."""
-        raise NotImplementedError
+        at each time of ts >= cutoff, shape (len(ts), dim)."""
+        raise DomainError(
+            f"history kind {type(self).__name__} has no analytic tail integral"
+        )
 
     def tail_cutoff(self) -> float:
         """Largest tau at which the analytic tail integral may start."""
@@ -139,9 +142,6 @@ class Constant(HistoryFunction):
 
     def sup_derivative(self) -> float:
         return 0.0
-
-    def closed_forcing(self, ts, alpha):
-        return np.zeros((len(ts), self.dim))
 
     def tail_integral(self, ts, alpha, cutoff):
         return np.zeros((len(ts), self.dim))
@@ -180,9 +180,6 @@ class TruncatedSinusoid(HistoryFunction):
 
     def sup_derivative(self) -> float:
         return self.frequency * float(np.linalg.norm(self.amplitude))
-
-    def closed_forcing(self, ts, alpha):
-        return self.tail_integral(ts, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
 
     def tail_integral(self, ts, alpha, cutoff):
         # x0' = amp * om * Re e^{i(om tau + phase)}; rotating the ray of
@@ -232,9 +229,6 @@ class ExpGrowth(HistoryFunction):
     def sup_derivative(self) -> float:
         return self.rate * float(np.linalg.norm(self.coefficient))
 
-    def closed_forcing(self, ts, alpha):
-        return self.tail_integral(ts, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
-
     def tail_integral(self, ts, alpha, cutoff):
         rho = self.rate
         z = rho * (np.asarray(ts, dtype=float) - cutoff)
@@ -282,15 +276,6 @@ class PiecewiseConstantRamp(HistoryFunction):
 
     def sup_derivative(self) -> float:
         return float(np.linalg.norm(self.slope))
-
-    def closed_forcing(self, ts, alpha):
-        ts = np.asarray(ts, dtype=float)
-        dt0 = np.maximum(ts - self.t0, 0.0)
-        dr = ts - self.ramp_start
-        factor = (dr ** (1.0 - alpha) - dt0 ** (1.0 - alpha)) * reciprocal_gamma(
-            2.0 - alpha
-        )
-        return np.outer(factor, self.slope)
 
     def tail_integral(self, ts, alpha, cutoff):
         ts = np.asarray(ts, dtype=float)
@@ -372,9 +357,6 @@ class FloquetForm(HistoryFunction):
                 for k, p in self.coeffs.items()
             )
         )
-
-    def closed_forcing(self, ts, alpha):
-        return self.tail_integral(ts, alpha, self.t0) * reciprocal_gamma(1.0 - alpha)
 
     def tail_integral(self, ts, alpha, cutoff):
         # harmonic k contributes p_k mu_k^alpha e^{mu_k cutoff} e^z Gamma(1 - alpha, z)
@@ -495,23 +477,16 @@ class Sampled(HistoryFunction):
         return min(float(self.grid[0]), self.t0 - self.eta)
 
     def tail_integral(self, ts, alpha, cutoff):
-        # left of the grid the history is constant
-        return np.zeros((len(ts), self.dim))
-
-    def closed_forcing(self, ts, alpha):
-        # piecewise-linear histories integrate exactly:
-        # each interval contributes slope * [(t-lo)^(1-a) - (t-hi)^(1-a)]/(1-a)
-        g = self.grid
+        # piecewise-linear histories integrate exactly: each interval, cut
+        # off at the cutoff, contributes slope * [(t-lo)^(1-a) - (t-hi)^(1-a)]/(1-a);
+        # left of the grid the history is constant and contributes nothing
+        g = np.minimum(self.grid, cutoff)
         ts = np.asarray(ts, dtype=float)[:, None]
-        slopes = np.diff(self.samples, axis=0) / np.diff(g)[:, None]
+        slopes = np.diff(self.samples, axis=0) / np.diff(self.grid)[:, None]
         lo = np.maximum(ts - g[:-1], 0.0)
         hi = np.maximum(ts - g[1:], 0.0)
         weights = lo ** (1.0 - alpha) - hi ** (1.0 - alpha)
-        return (
-            (weights @ slopes)
-            / (1.0 - alpha)
-            * reciprocal_gamma(1.0 - alpha)
-        )
+        return (weights @ slopes) / (1.0 - alpha)
 
 
 def eval_history(h: HistoryFunction, t: float) -> np.ndarray:
@@ -542,19 +517,16 @@ def _quad_c(f, a, b, complex_valued, **kw):
 class ForcingEvaluator:
     """Numerical evaluator of the forcing term of the initial condition.
 
-    method: "auto" prefers a closed form and falls back to quadrature;
-    "closed" and "quadrature" force one route (the two are compared
-    against each other in the test-suite).  tail_split overrides the
-    point below which the tail integral is evaluated analytically.
-    Both routes run through :func:`forcing_grid`; ``forcing(t)`` is a
-    grid of one time.
+    method: "auto" and "closed" take the history's analytic tail
+    integral up to t0; "quadrature" integrates the field near t0
+    adaptively and takes the analytic tail only below
+    ``history.tail_cutoff()``, so the two routes cross-check each other.
+    Both run through :func:`forcing_grid`; ``forcing(t)`` is a grid of
+    one time.
     """
 
     history: HistoryFunction
     alpha: float
-    tolerance: float = 1e-10
-    limit: int = 200
-    tail_split: Optional[float] = None
     method: str = "auto"
 
     def __post_init__(self):
@@ -562,12 +534,6 @@ class ForcingEvaluator:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.method not in ("auto", "closed", "quadrature"):
             raise DomainError(f"unknown forcing method '{self.method}'")
-        if self.tail_split is not None:
-            limit_pt = self.history.tail_cutoff()
-            if self.tail_split > limit_pt + 1e-12:
-                raise DomainError(
-                    f"tail_split must lie at or below {limit_pt} for this history"
-                )
 
     def forcing(self, t: float) -> np.ndarray:
         return forcing_grid(self, [t])[0]
@@ -576,13 +542,14 @@ class ForcingEvaluator:
         h = self.history
         alpha = self.alpha
         a_near = h.t0 - h.eta
-        cutoff = self.tail_split if self.tail_split is not None else h.tail_cutoff()
+        cutoff = h.tail_cutoff()
+        tail = h.tail_integral(np.array([t]), alpha, cutoff)[0]
         total = np.asarray(
             self._near_integral(t, a_near, h.t0), dtype=complex if h.complex_valued else float
         )
         if cutoff < a_near - 1e-13:
             total = total + self._by_parts_integral(t, cutoff, a_near)
-        total = total + h.tail_integral(np.array([t]), alpha, cutoff)[0]
+        total = total + tail
         out = total * reciprocal_gamma(1.0 - alpha)
         return out if h.complex_valued else np.asarray(out, dtype=float)
 
@@ -610,9 +577,9 @@ class ForcingEvaluator:
                         h.complex_valued,
                         weight="alg",
                         wvar=(0.0, -alpha),
-                        epsabs=self.tolerance,
-                        epsrel=self.tolerance,
-                        limit=self.limit,
+                        epsabs=_QUAD_TOL,
+                        epsrel=_QUAD_TOL,
+                        limit=_QUAD_LIMIT,
                     )
                 else:
                     fk = lambda tau, i=i: (t - tau) ** (-alpha) * h.derivative(tau)[i]
@@ -621,9 +588,9 @@ class ForcingEvaluator:
                         lo,
                         hi,
                         h.complex_valued,
-                        epsabs=self.tolerance,
-                        epsrel=self.tolerance,
-                        limit=self.limit,
+                        epsabs=_QUAD_TOL,
+                        epsrel=_QUAD_TOL,
+                        limit=_QUAD_LIMIT,
                     )
                 acc += val
                 err_total += err
@@ -642,33 +609,13 @@ class ForcingEvaluator:
         never needs to exist left of t0 - eta:
         (t-b)^(-alpha) x0(b) - (t-a)^(-alpha) x0(a)
         - alpha * integral_a^b (t - tau)^(-alpha-1) x0(tau) dtau.
+        Only a Sampled history starts its tail left of t0 - eta, so the
+        bulk integral is always its Gauss-panel sum.
         """
         h = self.history
         alpha = self.alpha
         boundary = (t - b) ** (-alpha) * h.value(b) - (t - a) ** (-alpha) * h.value(a)
-        if isinstance(h, Sampled):
-            bulk = self._sampled_bulk(t, a, b)
-        else:
-            bulk = []
-            for i in range(h.dim):
-                fk = lambda tau, i=i: (t - tau) ** (-alpha - 1.0) * h.value(tau)[i]
-                val, err = _quad_c(
-                    fk,
-                    a,
-                    b,
-                    h.complex_valued,
-                    epsabs=self.tolerance,
-                    epsrel=self.tolerance,
-                    limit=self.limit,
-                )
-                if err > 1e-6:
-                    raise QuadratureError(
-                        f"mid-field quadrature error estimate {err:.2e} "
-                        "exceeds the forcing tolerance"
-                    )
-                bulk.append(val)
-            bulk = np.asarray(bulk)
-        return boundary - alpha * bulk
+        return boundary - alpha * self._sampled_bulk(t, a, b)
 
     def _sampled_bulk(self, t: float, a: float, b: float) -> np.ndarray:
         """Vectorized Gauss panels for the piecewise-linear bulk integral."""
@@ -710,9 +657,10 @@ def forcing_grid(fe: ForcingEvaluator, ts) -> np.ndarray:
     are clamped onto it, and in the classical limit alpha = 1 the
     forcing vanishes.  Otherwise the grid is taken in chunks of at most
     _CHUNK times.  On "auto" and "closed" each chunk is one call of the
-    history's array-valued closed form; on "quadrature", or on "auto"
-    for a kind with no closed form, every time is integrated on its
-    own, and "closed" for such a kind is a DomainError.
+    history's analytic tail integral up to t0, divided by
+    Gamma(1 - alpha); on "quadrature" every time is integrated on its
+    own.  A kind with no analytic tail integral is a DomainError on
+    every route.
     """
     h = fe.history
     ts = np.asarray(ts, dtype=float)
@@ -723,17 +671,12 @@ def forcing_grid(fe: ForcingEvaluator, ts) -> np.ndarray:
     if fe.alpha >= 1.0 - 1e-12:
         # classical limit: 1/Gamma(1 - alpha) -> 0 and the forcing vanishes
         return out
-    closed = fe.method != "quadrature"
     for lo in range(0, ts.shape[0], _CHUNK):
         chunk = ts[lo : lo + _CHUNK]
-        vals = h.closed_forcing(chunk, fe.alpha) if closed else None
-        if vals is None:
-            if fe.method == "closed":
-                raise DomainError(
-                    f"history kind {type(h).__name__} has no closed-form forcing"
-                )
-            closed = False
+        if fe.method == "quadrature":
             vals = [fe._forcing_quadrature(t) for t in chunk]
+        else:
+            vals = h.tail_integral(chunk, fe.alpha, h.t0) * reciprocal_gamma(1.0 - fe.alpha)
         out[lo : lo + chunk.shape[0]] = vals
     return out
 

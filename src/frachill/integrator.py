@@ -52,10 +52,7 @@ class IvpProblem:
         if not np.issubdtype(init.dtype, np.complexfloating):
             init = init.astype(float)
         object.__setattr__(self, "initial", init)
-        if not self.t_end > self.t0:
-            raise DomainError("t_end must exceed t0")
-        if not 0.0 < self.dt <= self.t_end - self.t0:
-            raise DomainError("dt must lie in (0, t_end - t0]")
+        _check_span(self.t0, self.t_end, self.dt)
         if self.forcing is not None and abs(
             self.forcing.alpha - self.order.alpha
         ) > 1e-12:
@@ -86,7 +83,16 @@ class Trajectory:
         return self.values[-1]
 
 
+def _check_span(t0: float, t_end: float, dt: float) -> None:
+    """DomainError unless t_end > t0 and 0 < dt <= t_end - t0 (NaN fails)."""
+    if not t_end > t0:
+        raise DomainError(f"t_end must exceed t0 = {t0}, got {t_end}")
+    if not 0.0 < dt <= t_end - t0:
+        raise DomainError(f"dt must lie in (0, t_end - t0], got {dt}")
+
+
 def _grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+    _check_span(t0, t_end, dt)
     steps = int(math.floor((t_end - t0) / dt + 1e-9))
     return t0 + dt * np.arange(steps + 1)
 
@@ -159,7 +165,6 @@ def solve_liouville_weyl(
     dt: float,
     *,
     alpha: Optional[float] = None,
-    forcing_method: str = "auto",
 ) -> Trajectory:
     """Infinite-lower-bound problem via its Caputo reformulation.
 
@@ -183,7 +188,7 @@ def solve_liouville_weyl(
             raise DomainError("alpha is required when the system is a callable")
         rhs = system
 
-    fe = ForcingEvaluator(history, alpha, method=forcing_method)
+    fe = ForcingEvaluator(history, alpha)
     problem = IvpProblem(
         order=FractionalOrder(alpha),
         rhs=rhs,

@@ -530,9 +530,9 @@ def _ml_classical(beta: float, z: complex) -> complex:
 def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
-    Requires 0 < alpha <= 1, 0 < beta <= 5 and |z| <= 1e6.  Target
-    absolute-or-relative accuracy is 1e-9; :class:`AccuracyError` is raised
-    if no evaluation regime can reach it.
+    Requires 0 < alpha <= 1, 0 < beta <= 5 and a finite z with
+    |z| <= 1e6.  Target absolute-or-relative accuracy is 1e-9;
+    :class:`AccuracyError` is raised if no evaluation regime can reach it.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -541,6 +541,8 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
     if not (0.0 < beta <= 5.0):
         raise DomainError(f"mittag_leffler requires 0 < beta <= 5, got {beta}")
     zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"mittag_leffler requires a finite z, got {zc}")
     az = abs(zc)
     if az > 1e6:
         raise DomainError(f"mittag_leffler requires |z| <= 1e6, got {az:g}")

@@ -29,6 +29,7 @@ import numpy as np
 
 from frachill.errors import DomainError, IterationError
 from frachill.hill import (
+    _truncation_order,
     assemble,
     det_phase_and_log_derivative,
     sigma_min_and_nullvector,
@@ -104,9 +105,7 @@ def gershgorin(spec: SystemSpec, N: int) -> GershgorinRegion:
     norm of each block, a conservative superset of the scalar bound.
     The J_0 block contributes: only the shift itself is split out.
     """
-    if int(N) != N or N < 0:
-        raise DomainError(f"truncation order must be an integer >= 0, got {N}")
-    N = int(N)
+    N = _truncation_order(N)
     norms = {}
     for d in range(-spec.coeffs.k_max, spec.coeffs.k_max + 1):
         block = spec.coeffs.coeff(d)
@@ -485,6 +484,7 @@ def find_eigenvalues(
     that crosses a cut.  Either way roots are accepted on
     sigma_min < tol; det itself over- and underflows with N.
     """
+    N = _truncation_order(N)
     if strip is None:
         region = gershgorin(spec, N)
         re_hi = max(region.re_max, 10.0 * _DEDUPE_RADIUS)
@@ -495,8 +495,8 @@ def find_eigenvalues(
     n_re, n_im = (int(n) for n in grid_shape)
     if n_re < 2 or n_im < 2:
         raise DomainError(f"grid_shape needs at least 2 x 2 nodes, got {grid_shape}")
-    search = _Search(spec=spec, N=int(N), tol=tol)
-    rect = _contour_rect(spec, int(N), strip, n_re, n_im)
+    search = _Search(spec=spec, N=N, tol=tol)
+    rect = _contour_rect(spec, N, strip, n_re, n_im)
     if rect is None:
         route, count = "scan", None
         roots = _scan_route(search, strip, n_re, n_im)
@@ -672,11 +672,7 @@ def floquet_real_combination(
 
 
 def compare_floquet(
-    ep: Eigenpair,
-    spec: SystemSpec,
-    t_end: float,
-    dt: float,
-    forcing_method: str = "auto",
+    ep: Eigenpair, spec: SystemSpec, t_end: float, dt: float
 ) -> tuple[Trajectory, Trajectory, float]:
     """The marched and the reconstructed trajectory, and their max relative gap.
 
@@ -697,22 +693,14 @@ def compare_floquet(
         if np.any(blocks[j] != 0.0)
     }
     history = FloquetForm(lam=ep.lam, omega=spec.omega, coeffs=coeffs)
-    sim = solve_liouville_weyl(
-        spec, history, t_end, dt, forcing_method=forcing_method
-    )
+    sim = solve_liouville_weyl(spec, history, t_end, dt)
     hill = reconstruct_floquet(ep, spec, sim.times)
     diff = np.linalg.norm(sim.values - hill.values, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(hill.values, axis=1))
     return sim, hill, float(np.max(diff / scale))
 
 
-def verify_floquet(
-    ep: Eigenpair,
-    spec: SystemSpec,
-    t_end: float,
-    dt: float,
-    forcing_method: str = "auto",
-) -> float:
+def verify_floquet(ep: Eigenpair, spec: SystemSpec, t_end: float, dt: float) -> float:
     """Max relative gap between the Floquet form and a simulated run
     (see :func:`compare_floquet`)."""
-    return compare_floquet(ep, spec, t_end, dt, forcing_method)[2]
+    return compare_floquet(ep, spec, t_end, dt)[2]

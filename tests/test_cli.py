@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import wofz
 
+import frachill
 from frachill.cli import run
 from frachill.history import Constant, ForcingEvaluator, forcing_grid, parse_history
 from frachill.hill import evaluate_grid
@@ -81,6 +86,40 @@ class TestMl:
         assert abs(complex(float(re_s), float(im_s)) - want) <= 1e-9
 
 
+# (argv, exit code): each bad input must fail with one "frachill:" line
+# on stderr, never a traceback; {sys}, {hist} and {out} are input files
+BAD_INPUTS = {
+    "hill-det-negative-N": (
+        ["hill-det", "--system", "{sys}", "--N", "-1", "--re", "0:1:2",
+         "--im", "0:1:2", "--out", "{out}"],
+        1,
+    ),
+    "eig-negative-N": (
+        ["eig", "--system", "{sys}", "--N", "-1", "--strip", "0:2:-0.5:0.5",
+         "--out", "{out}"],
+        1,
+    ),
+    "floquet-zero-dt": (
+        ["floquet", "--system", "{sys}", "--N", "4", "--t-end", "1",
+         "--dt", "0", "--out", "{out}"],
+        1,
+    ),
+    "simulate-nan-t-end": (
+        ["simulate", "--system", "{sys}", "--history", "{hist}",
+         "--t-end", "nan", "--dt", "0.1", "--out", "{out}"],
+        1,
+    ),
+    "simulate-nan-dt": (
+        ["simulate", "--system", "{sys}", "--history", "{hist}",
+         "--t-end", "1", "--dt", "nan", "--out", "{out}"],
+        1,
+    ),
+    "ml-nan-z": (["ml", "--alpha", "0.5", "--z", "nan"], 1),
+    "threads": (["ml", "--alpha", "0.5", "--z", "1.0", "--threads", "4"], 2),
+    "seed": (["ml", "--alpha", "0.5", "--z", "1.0", "--seed", "1"], 2),
+}
+
+
 class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert run(["simulate", "--t-end", "1", "--dt", "0.1"]) == 2
@@ -136,8 +175,28 @@ class TestExitCodes:
         assert code == 1
         assert "i/o error" in capsys.readouterr().err
 
-    def test_threads_must_be_positive(self, capsys):
-        assert run(["ml", "--alpha", "0.5", "--z", "1.0", "--threads", "0"]) == 2
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exit_code(self, case, tmp_path, system_file, history_file):
+        argv, code = BAD_INPUTS[case]
+        files = {"sys": system_file, "hist": history_file, "out": str(tmp_path / "o.csv")}
+        argv = [arg.format(**files) for arg in argv]
+        # a fresh interpreter, so warnings and tracebacks reach stderr as a
+        # user would see them
+        env = dict(os.environ, PYTHONPATH=str(Path(frachill.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "frachill.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = [line for line in done.stderr.splitlines() if line.startswith("frachill:")]
+        assert len(lines) == 1, done.stderr
+        assert all(
+            line.startswith(("frachill:", "usage:", " ")) for line in done.stderr.splitlines()
+        ), done.stderr
 
 
 class TestSimulate:

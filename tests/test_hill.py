@@ -6,15 +6,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from frachill import hill
 from frachill.errors import DomainError
 from frachill.hill import (
     assemble,
     det_phase_and_log_derivative,
     evaluate_grid,
-    log_abs_det,
     sigma_min_and_nullvector,
     sigma_min_grid,
 )
+from frachill.spectral import find_eigenvalues, gershgorin
 from frachill.system import make_system, principal_power
 
 
@@ -127,6 +128,21 @@ class TestAssemble:
         with pytest.raises(DomainError):
             assemble(constant_spec(1.0), -1, 0.0)
 
+    @pytest.mark.parametrize("N", [2.5, -1, "3", math.nan])
+    def test_every_entry_point_checks_the_order(self, N):
+        spec = constant_spec(1.0)
+        calls = [
+            lambda: assemble(spec, N, 0.5),
+            lambda: gershgorin(spec, N),
+            lambda: sigma_min_grid(spec, N, [0.5]),
+            lambda: evaluate_grid(spec, N, [0.5]),
+            lambda: det_phase_and_log_derivative(spec, N, [0.5]),
+            lambda: find_eigenvalues(spec, N, strip=(0.0, 2.0, -0.5, 0.5)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="truncation order"):
+                call()
+
     def test_matrix_read_only(self):
         hm = assemble(constant_spec(1.0), 1, 0.0)
         with pytest.raises(ValueError):
@@ -134,39 +150,41 @@ class TestAssemble:
 
 
 class TestLogAbsDet:
+    """log|det| from evaluate_grid, the phase from det_phase_and_log_derivative."""
+
     def test_diagonal_closed_form(self):
         spec = constant_spec(2.0)
-        ev = log_abs_det(assemble(spec, 5, 0.0))
+        logdet, _ = evaluate_grid(spec, 5, [0.0])
         closed = sum(
             math.log(abs(2.0 - principal_power(1j * k, 0.5)))
             for k in range(-5, 6)
         )
-        assert ev.log_abs_det == pytest.approx(closed, abs=1e-12)
+        assert logdet[0] == pytest.approx(closed, abs=1e-12)
 
     def test_exact_singularity_sentinel(self):
         # J_0 = 1, lambda = 1: the center diagonal entry is exactly zero
-        ev = log_abs_det(assemble(constant_spec(1.0), 0, 1.0))
-        assert ev.log_abs_det == -np.inf
-        assert ev.det_phase == 0.0
-        assert ev.sigma_min == 0.0
+        spec = constant_spec(1.0)
+        logdet, sigma = evaluate_grid(spec, 0, [1.0])
+        phase, _ = det_phase_and_log_derivative(spec, 0, [1.0])
+        assert logdet[0] == -np.inf
+        assert phase[0] == 0.0
+        assert sigma[0] == 0.0
 
     def test_classical_scalar(self):
         spec = constant_spec(3.0, alpha=1.0)
         lam = 0.5 + 0.25j
-        ev = log_abs_det(assemble(spec, 0, lam))
-        assert ev.log_abs_det == pytest.approx(
-            math.log(abs(3.0 - lam)), abs=1e-14
-        )
-        assert abs(ev.det_phase) == pytest.approx(1.0, abs=1e-14)
+        logdet, _ = evaluate_grid(spec, 0, [lam])
+        phase, _ = det_phase_and_log_derivative(spec, 0, [lam])
+        assert logdet[0] == pytest.approx(math.log(abs(3.0 - lam)), abs=1e-14)
+        assert abs(phase[0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_phase_matches_determinant(self):
         spec = mathieu_spec(alpha=0.5)
-        hm = assemble(spec, 1, 0.4 + 0.3j)
-        ev = log_abs_det(hm)
-        det = np.linalg.det(hm.matrix)
-        np.testing.assert_allclose(
-            ev.det_phase * math.exp(ev.log_abs_det), det, rtol=1e-10
-        )
+        lam = 0.4 + 0.3j
+        logdet, _ = evaluate_grid(spec, 1, [lam])
+        phase, _ = det_phase_and_log_derivative(spec, 1, [lam])
+        det = np.linalg.det(assemble(spec, 1, lam).matrix)
+        np.testing.assert_allclose(phase[0] * math.exp(logdet[0]), det, rtol=1e-10)
 
 
 class TestLogDerivative:
@@ -175,7 +193,8 @@ class TestLogDerivative:
         lams = [0.4 + 0.3j, 1.2 - 0.7j, 0.05 + 2.0j]
         phase, _ = det_phase_and_log_derivative(spec, 3, lams)
         for lam, ph in zip(lams, phase):
-            assert ph == pytest.approx(log_abs_det(assemble(spec, 3, lam)).det_phase, abs=1e-12)
+            det = np.linalg.det(assemble(spec, 3, lam).matrix)
+            assert ph == pytest.approx(det / abs(det), abs=1e-12)
 
     def test_matches_difference_quotient(self):
         # d/dlam log det H_N against a central difference of log det
@@ -266,11 +285,13 @@ class TestProperties:
             s, _ = sigma_min_and_nullvector(assemble(spec, 3, mu))
             assert s <= 1e-8
 
-    def test_grid_matches_pointwise(self):
+    def test_grid_matches_pointwise(self, monkeypatch):
         rng = np.random.default_rng(31)
         lams = rng.normal(size=40) + 1j * rng.normal(size=40)
         spec = mathieu_spec(alpha=0.5)
-        grid = sigma_min_grid(spec, 3, lams, chunk_size=7)
+        # chunks of 7 matrices of order 14
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 7 * 14 * 14)
+        grid = sigma_min_grid(spec, 3, lams)
         loop = np.array(
             [
                 sigma_min_and_nullvector(assemble(spec, 3, lam))[0]
@@ -279,12 +300,14 @@ class TestProperties:
         )
         np.testing.assert_allclose(grid, loop, atol=1e-12)
 
-    def test_evaluate_grid_matches_pointwise(self):
+    def test_evaluate_grid_matches_pointwise(self, monkeypatch):
         rng = np.random.default_rng(37)
         lams = rng.normal(size=20) + 1j * rng.normal(size=20)
         spec = periodic_spec(1.0)
-        logs, sigmas = evaluate_grid(spec, 4, lams, chunk_size=6)
+        # chunks of 6 matrices of order 9
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 6 * 9 * 9)
+        logs, sigmas = evaluate_grid(spec, 4, lams)
         for lam, ld, sg in zip(lams, logs, sigmas):
-            ev = log_abs_det(assemble(spec, 4, lam))
-            assert ld == pytest.approx(ev.log_abs_det, rel=1e-12)
-            assert sg == pytest.approx(ev.sigma_min, abs=1e-12)
+            hm = assemble(spec, 4, lam)
+            assert ld == pytest.approx(np.linalg.slogdet(hm.matrix)[1], rel=1e-12)
+            assert sg == pytest.approx(sigma_min_and_nullvector(hm)[0], abs=1e-12)

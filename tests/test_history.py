@@ -62,7 +62,7 @@ FLOQUET_FORCING = {
 
 @dataclass(frozen=True, kw_only=True)
 class _NoClosedForm(HistoryFunction):
-    """A history kind that declares no closed-form forcing."""
+    """A history kind that declares no analytic tail integral."""
 
     @property
     def dim(self) -> int:
@@ -240,15 +240,6 @@ class TestQuadratureRoute:
                 quadr.forcing(t), closed.forcing(t), atol=1e-7
             )
 
-    def test_exp_growth_with_explicit_tail_split(self):
-        h = ExpGrowth(rate=0.7, coefficient=[2.0])
-        closed = ForcingEvaluator(h, 0.5, method="closed")
-        quadr = ForcingEvaluator(h, 0.5, method="quadrature", tail_split=-6.0)
-        for t in (0.0, 1.0, 8.0):
-            np.testing.assert_allclose(
-                quadr.forcing(t), closed.forcing(t), atol=1e-8
-            )
-
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_ramp_agreement(self, alpha):
         h = PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0)
@@ -294,7 +285,7 @@ class TestQuadratureRoute:
     def test_sinusoid_agreement(self, alpha, monkeypatch):
         h = TruncatedSinusoid(amplitude=[2.0], phase=0.7, frequency=3.0, t0=-0.5)
         closed = ForcingEvaluator(h, alpha, method="closed")
-        quadr = ForcingEvaluator(h, alpha, method="quadrature", tail_split=-6.0)
+        quadr = ForcingEvaluator(h, alpha, method="quadrature")
         ts = np.linspace(-0.5, 10.0, 8)
         expect = forcing_grid(closed, ts)
         for t, ref in zip(ts, expect):
@@ -310,9 +301,37 @@ class TestQuadratureRoute:
         np.testing.assert_allclose(forcing_grid(quadr, ts), expect, atol=1e-7)
         assert len(calls) == len(ts)
 
-    def test_no_closed_form_error(self):
-        with pytest.raises(DomainError):
-            ForcingEvaluator(_NoClosedForm(), 0.5, method="closed").forcing(1.0)
+    @pytest.mark.parametrize("method", ["auto", "closed", "quadrature"])
+    def test_no_closed_form_error(self, method):
+        fe = ForcingEvaluator(_NoClosedForm(), 0.5, method=method)
+        with pytest.raises(DomainError, match="no analytic tail integral"):
+            fe.forcing(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_sampled_tail_integral_at_a_mid_cutoff(self, alpha):
+        # cut off inside the grid, the analytic tail is the integral of
+        # the interpolant's slopes from the grid's start to the cutoff
+        h = sampled_sine(n=25)
+        cutoff, ts = -3.3, np.array([-3.3, -1.0, 0.0, 4.0])
+        slopes = np.diff(h.samples[:, 0]) / np.diff(h.grid)
+        expect = []
+        for t in ts:
+            val = 0.0
+            for lo, hi, s in zip(h.grid[:-1], h.grid[1:], slopes):
+                if lo >= cutoff:
+                    continue
+                hi = min(hi, cutoff)
+                if t == hi:
+                    # (t - tau)^(-alpha) as the algebraic weight at hi
+                    part, _ = quad(lambda tau: s, lo, hi, weight="alg", wvar=(0.0, -alpha))
+                else:
+                    part, _ = quad(lambda tau: (t - tau) ** -alpha * s, lo, hi)
+                val += part
+            expect.append(val)
+        got = h.tail_integral(ts, alpha, cutoff)
+        np.testing.assert_allclose(got[:, 0], expect, rtol=1e-10, atol=1e-12)
+        # at or below the grid's start the tail is constant and adds nothing
+        assert not h.tail_integral(ts, alpha, h.grid[0]).any()
 
 
 # one history of each kind, all of dimension 2
@@ -534,11 +553,6 @@ class TestEvaluatorConfig:
     def test_method_validation(self):
         with pytest.raises(DomainError):
             ForcingEvaluator(Constant(values=[1.0]), 0.5, method="magic")
-
-    def test_tail_split_validation(self):
-        h = TruncatedSinusoid(amplitude=[1.0])
-        with pytest.raises(DomainError):
-            ForcingEvaluator(h, 0.5, tail_split=-0.2)
 
     def test_pre_t0_rejected(self):
         fe = ForcingEvaluator(Constant(values=[1.0]), 0.5)

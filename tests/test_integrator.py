@@ -15,6 +15,7 @@ from frachill.errors import DomainError, NonFiniteStateError
 from frachill.history import (
     Constant,
     ExpGrowth,
+    ForcingEvaluator,
     PiecewiseConstantRamp,
     TruncatedSinusoid,
 )
@@ -82,6 +83,16 @@ class TestIvpProblemValidation:
                     dt=dt,
                 )
 
+    @pytest.mark.parametrize(
+        "t_end, dt", [(math.nan, 0.1), (2.0, math.nan), (2.0, 0.0), (-1.0, 0.1)]
+    )
+    def test_bad_span_is_checked_before_the_grid(self, t_end, dt):
+        # solve_liouville_weyl builds J on the time grid before any
+        # IvpProblem exists, so the grid itself must refuse a bad span
+        spec = make_system(0.5, 1.0, {0: [[-1.0]]})
+        with pytest.raises(DomainError):
+            solve_liouville_weyl(spec, Constant(values=[1.0]), t_end, dt)
+
     def test_float_order_coerced(self):
         p = IvpProblem(
             order=0.4,
@@ -94,8 +105,6 @@ class TestIvpProblemValidation:
         assert p.alpha == 0.4
 
     def test_forcing_order_mismatch(self):
-        from frachill.history import ForcingEvaluator
-
         fe = ForcingEvaluator(ExpGrowth(rate=1.0, coefficient=[1.0]), 0.3)
         with pytest.raises(DomainError):
             IvpProblem(
@@ -274,12 +283,17 @@ class TestSolveLiouvilleWeyl:
         # closed-form forcing against the adaptive quadrature route, run
         # through the full marcher
         h = ExpGrowth(rate=1.0, coefficient=[1.0])
-        tr_c = solve_liouville_weyl(
-            lambda t, x: -x, h, 5.0, 0.01, alpha=0.5, forcing_method="closed"
-        )
-        tr_q = solve_liouville_weyl(
-            lambda t, x: -x, h, 5.0, 0.01, alpha=0.5,
-            forcing_method="quadrature",
+        tr_c = solve_liouville_weyl(lambda t, x: -x, h, 5.0, 0.01, alpha=0.5)
+        tr_q = solve_caputo(
+            IvpProblem(
+                order=0.5,
+                rhs=lambda t, x: -x,
+                initial=h.value(0.0),
+                t0=0.0,
+                t_end=5.0,
+                dt=0.01,
+                forcing=ForcingEvaluator(h, 0.5, method="quadrature"),
+            )
         )
         assert np.max(np.abs(tr_c.values - tr_q.values)) < 1e-7
 
