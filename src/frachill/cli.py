@@ -86,6 +86,8 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise SchemaError(f"malformed grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise SchemaError(f"grid endpoints must be finite, got {text!r}")
     if count < 2:
         raise SchemaError(f"grid needs at least 2 points, got {count}")
     return np.linspace(start, stop, count)

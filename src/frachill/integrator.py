@@ -84,9 +84,9 @@ class Trajectory:
 
 
 def _check_span(t0: float, t_end: float, dt: float) -> None:
-    """DomainError unless t_end > t0 and 0 < dt <= t_end - t0 (NaN fails)."""
-    if not t_end > t0:
-        raise DomainError(f"t_end must exceed t0 = {t0}, got {t_end}")
+    """DomainError unless -inf < t0 < t_end < inf and 0 < dt <= t_end - t0 (NaN fails)."""
+    if not -math.inf < t0 < t_end < math.inf:
+        raise DomainError(f"need finite t0 < t_end, got t0 = {t0}, t_end = {t_end}")
     if not 0.0 < dt <= t_end - t0:
         raise DomainError(f"dt must lie in (0, t_end - t0], got {dt}")
 

@@ -10,11 +10,13 @@ principle (Delves & Lyness 1967) and refines each with Newton's trace
 iteration (Guettel & Tisseur 2017, Acta Numerica, section 4).  On any
 strip clear of the branch cuts, which includes every strip with
 Re >= 0 and so the default one, the roots returned are all the zeros
-of det H_N there: an empty list certifies that none exist.  Strips
-that cross a cut fall back on a sigma_min grid scan for seeds, and
-their roots are not certified.  FRACHILL_LOG=info logs one line per
-search: route, zeros counted, roots returned, Newton iterations per
-root and the seeds rejected by tol, strip and dedupe.
+of det H_N there: an empty list certifies that none exist.  A zero
+within 1e-13 times the strip scale of the counting contour raises
+IterationError instead.  Strips that cross a cut fall back on a
+sigma_min grid scan for seeds, and their roots are not certified.
+FRACHILL_LOG=info logs one line per search: route, zeros counted,
+roots returned, Newton iterations per root and the seeds rejected by
+tol, strip and dedupe.
 """
 
 from __future__ import annotations
@@ -378,17 +380,6 @@ def _contour_route(search: _Search, rect, n_re: int, n_im: int, re0: float):
         complex((x1 - x0) / (n_re - 1), (y1 - y0) / (n_im - 1)),
         1e-13 * max(1.0, x1 - x0, y1 - y0),
     )
-    nodes = walk.nodes(rect)
-    branch = np.zeros(0, dtype=complex)
-    if re0 <= 0.0 < x0:
-        ks = np.arange(-N, N + 1)
-        branch = 1j * spec.omega * ks[(y0 <= ks * spec.omega) & (ks * spec.omega <= y1)]
-    sigma = sigma_min_grid(spec, N, np.concatenate([nodes, branch]))
-    if np.any(sigma[: nodes.size] < search.tol):
-        at = complex(nodes[int(np.argmin(sigma[: nodes.size]))])
-        raise IterationError(
-            f"det H_N has a zero on the search contour near {at:.6g}; move the strip"
-        )
     count = walk.winding(rect)
     roots = []
     found = 0
@@ -418,10 +409,13 @@ def _contour_route(search: _Search, rect, n_re: int, n_im: int, re0: float):
             f"counted {count} zeros of det H_N in {rect} but refined {found}"
         )
     # the marginal case: a root exactly at a branch point on Re = 0
-    for lam, s in zip(branch, sigma[nodes.size :]):
-        if s < search.tol:
-            _, v = sigma_min_and_nullvector(assemble(spec, N, lam))
-            roots.append((complex(lam), float(s), v))
+    if re0 <= 0.0 < x0:
+        for k in range(-N, N + 1):
+            lam = 1j * spec.omega * k
+            if y0 <= lam.imag <= y1:
+                sigma, v = sigma_min_and_nullvector(assemble(spec, N, lam))
+                if sigma < search.tol:
+                    roots.append((lam, sigma, v))
     return count, roots
 
 
@@ -468,11 +462,12 @@ def find_eigenvalues(
     zeros of det H_N in the strip, padded by half a lattice step, are
     counted as the winding of its phase around the edge; cells are
     bisected until each holds one zero, and Newton's trace iteration
-    refines each from its cell centre.  A zero the refinement misses
-    raises IterationError, so an empty list from such a strip means
-    det H_N has no zero there.  A strip from Re = 0 is counted from
-    Re = 1e-6, clear of the branch points i k omega on Re = 0; a root
-    exactly on a branch point is still reported, as the marginal case.
+    refines each from its cell centre.  A zero the refinement misses,
+    or one within 1e-13 times the strip scale of the contour, raises
+    IterationError, so an empty list from such a strip means det H_N
+    has no zero there.  A strip from Re = 0 is counted from Re = 1e-6,
+    clear of the branch points i k omega on Re = 0; a root exactly on
+    a branch point is still reported, as the marginal case.
 
     Strips that cross a cut are scanned instead: Newton runs from each
     low local minimum of sigma_min on a lattice, and an empty list
@@ -482,16 +477,19 @@ def find_eigenvalues(
     side of the contour parallel to the real axis and n_im along each
     side parallel to the imaginary one, or the scan lattice on a strip
     that crosses a cut.  Either way roots are accepted on
-    sigma_min < tol; det itself over- and underflows with N.
+    sigma_min < tol, 0 < tol < inf; det itself over- and underflows
+    with N.  The strip must be finite.
     """
     N = _truncation_order(N)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if strip is None:
         region = gershgorin(spec, N)
         re_hi = max(region.re_max, 10.0 * _DEDUPE_RADIUS)
         strip = (0.0, re_hi, -0.5 * spec.omega, 0.5 * spec.omega)
     re0, re1, im0, im1 = strip = tuple(map(float, strip))
-    if not (re1 > re0 and im1 > im0):
-        raise DomainError(f"search strip is empty: {strip}")
+    if not (-math.inf < re0 < re1 < math.inf and -math.inf < im0 < im1 < math.inf):
+        raise DomainError(f"search strip must be finite and non-empty: {strip}")
     n_re, n_im = (int(n) for n in grid_shape)
     if n_re < 2 or n_im < 2:
         raise DomainError(f"grid_shape needs at least 2 x 2 nodes, got {grid_shape}")

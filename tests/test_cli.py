@@ -114,6 +114,52 @@ BAD_INPUTS = {
          "--t-end", "1", "--dt", "nan", "--out", "{out}"],
         1,
     ),
+    "eig-nan-tol": (
+        ["eig", "--system", "{sys}", "--N", "4", "--tol", "nan", "--out", "{out}"],
+        1,
+    ),
+    "eig-negative-tol": (
+        ["eig", "--system", "{sys}", "--N", "4", "--tol", "-1", "--out", "{out}"],
+        1,
+    ),
+    "eig-inf-tol": (
+        ["eig", "--system", "{sys}", "--N", "4", "--tol", "inf", "--out", "{out}"],
+        1,
+    ),
+    "eig-inf-strip": (
+        ["eig", "--system", "{sys}", "--N", "4", "--strip", "0:inf:-0.5:0.5",
+         "--out", "{out}"],
+        1,
+    ),
+    "hill-det-nan-grid": (
+        ["hill-det", "--system", "{sys}", "--N", "3", "--re", "0:1:2",
+         "--im", "nan:1:2", "--out", "{out}"],
+        2,
+    ),
+    "hill-det-inf-grid": (
+        ["hill-det", "--system", "{sys}", "--N", "3", "--re", "0:inf:2",
+         "--im", "0:1:2", "--out", "{out}"],
+        2,
+    ),
+    "forcing-nan-grid": (
+        ["forcing", "--history", "{hist}", "--alpha", "0.5", "--grid", "0:nan:3",
+         "--out", "{out}"],
+        2,
+    ),
+    "simulate-inf-t-end": (
+        ["simulate", "--system", "{sys}", "--history", "{hist}",
+         "--t-end", "inf", "--dt", "0.1", "--out", "{out}"],
+        1,
+    ),
+    "floquet-inf-t-end": (
+        ["floquet", "--system", "{sys}", "--N", "4", "--t-end", "inf",
+         "--dt", "0.1", "--out", "{out}"],
+        1,
+    ),
+    "verify-inf-t-end": (
+        ["verify", "--system", "{sys}", "--N", "4", "--t-end", "inf", "--dt", "0.1"],
+        1,
+    ),
     "ml-nan-z": (["ml", "--alpha", "0.5", "--z", "nan"], 1),
     "threads": (["ml", "--alpha", "0.5", "--z", "1.0", "--threads", "4"], 2),
     "seed": (["ml", "--alpha", "0.5", "--z", "1.0", "--seed", "1"], 2),

@@ -84,7 +84,8 @@ class TestIvpProblemValidation:
                 )
 
     @pytest.mark.parametrize(
-        "t_end, dt", [(math.nan, 0.1), (2.0, math.nan), (2.0, 0.0), (-1.0, 0.1)]
+        "t_end, dt",
+        [(math.nan, 0.1), (2.0, math.nan), (2.0, 0.0), (-1.0, 0.1), (math.inf, 0.1)],
     )
     def test_bad_span_is_checked_before_the_grid(self, t_end, dt):
         # solve_liouville_weyl builds J on the time grid before any

@@ -156,6 +156,17 @@ class TestFindEigenvalues:
         with pytest.raises(DomainError):
             find_eigenvalues(periodic_spec(1.0), 5, strip=(1.0, 1.0, -0.5, 0.5))
 
+    @pytest.mark.parametrize("strip", [(0.0, math.inf, -0.5, 0.5), (0.0, 1.0, -0.5, math.inf)])
+    def test_non_finite_strip_raises(self, strip):
+        with pytest.raises(DomainError):
+            find_eigenvalues(periodic_spec(1.0), 5, strip=strip)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_tol_raises(self, tol):
+        # tol = inf would accept the branch point 0 as a marginal root
+        with pytest.raises(DomainError):
+            find_eigenvalues(periodic_spec(2.5), 5, tol=tol)
+
     def test_null_vector_must_be_unit(self):
         with pytest.raises(DomainError):
             Eigenpair(
@@ -235,6 +246,31 @@ class TestCertifiedSearch:
         assert [ep.lam for ep in pairs] == [0.0]
         assert pairs[0].classification == VALID_FLOQUET
         assert search_log(caplog)["counted"] == "0"
+
+    def test_root_just_inside_the_counting_contour(self, caplog):
+        # lam = a^2 = 1.000001e-6 lies 1e-12 right of the contour's left
+        # edge Re = 1e-6; only the phase walk judges zeros near it
+        pairs = find_eigenvalues(constant_spec(math.sqrt(1e-6 + 1e-12)), 5)
+        assert len(pairs) == 1
+        assert abs(pairs[0].lam - 1.000001e-6) < 1e-15
+        assert search_log(caplog)["counted"] == "1"
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-14])
+    def test_root_on_the_counting_contour_raises(self, offset):
+        # a zero on the contour, or closer to it than 1e-13 times the
+        # strip scale, cannot be counted
+        with pytest.raises(IterationError):
+            find_eigenvalues(constant_spec(math.sqrt(1e-6 + offset)), 5)
+
+    def test_contour_route_scans_no_sigma_min(self, monkeypatch, caplog):
+        def no_scan(*args):
+            raise AssertionError("the contour route must not scan sigma_min")
+
+        monkeypatch.setattr(spectral, "sigma_min_grid", no_scan)
+        pairs = find_eigenvalues(periodic_spec(2.5), 20)
+        assert len(pairs) == 1
+        assert pairs[0].lam.real == pytest.approx(UNSTABLE_LAM, abs=1e-9)
+        assert search_log(caplog)["route"] == "contour"
 
     def test_exactly_singular_newton_iterate(self):
         # H_5(4) has an exact zero pivot for a = 2, alpha = 1/2
