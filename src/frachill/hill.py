@@ -6,10 +6,22 @@ shift (lambda + i r omega)^alpha for r = -N..N.  Roots of its
 determinant in lambda are the Floquet exponent candidates; the search
 itself lives in the spectral module: it counts roots with the phase of
 the determinant and accepts them on the smallest singular value.
+
+The grid services (sigma_min_grid, det_phase_and_log_derivative,
+evaluate_grid) factor stacks of H_N with batched LAPACK calls, which
+release the interpreter lock.  A call that needs more than one stack
+builds and factors its stacks on a thread pool with one thread per core
+in the process's affinity mask; the pool starts on first use and is
+never configured.  Each matrix is factored on its own, so results do
+not depend on how the lambdas are split into stacks or on the number
+of cores.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +53,24 @@ class HillMatrix:
         return self.matrix.shape[0]
 
 
-# matrix entries stacked per batched LAPACK call: about 64 MB of
-# complex matrices, whatever the matrix order
+# matrix entries in flight across all workers: about 64 MB of complex
+# matrices, whatever the matrix order or the core count; each stack
+# (one batched LAPACK call) holds at most _STACK_ENTRIES // _workers()
 _STACK_ENTRIES = 4_000_000
+
+
+def _workers() -> int:
+    """Cores this process may run on; all of them factor stacks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
+    # keyed by process id: a forked child has none of its parent's threads
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="frachill-hill")
 
 
 def _truncation_order(N) -> int:
@@ -117,16 +144,30 @@ def sigma_min_and_nullvector(hm: HillMatrix) -> tuple[float, np.ndarray]:
     return float(s[-1]), v
 
 
-def _stacks(spec: SystemSpec, N: int, lams: np.ndarray):
+def _map_stacks(spec: SystemSpec, N: int, lams, factor) -> list:
+    """factor(stack, chunk) for each stack of H_N over consecutive lams.
+
+    Each stack is built and factored by the worker that runs it, so at
+    most _STACK_ENTRIES matrix entries are in flight.  Results come back
+    in chunk order.  A call that fits in one stack, or a machine with
+    one core, runs inline without the pool.
+    """
     base = _toeplitz_part(spec, N)
     m = base.shape[0]
-    per_call = max(1, _STACK_ENTRIES // (m * m))
-    for lo in range(0, len(lams), per_call):
-        chunk = np.asarray(lams[lo : lo + per_call], dtype=complex)
+    workers = _workers()
+    per_stack = max(1, _STACK_ENTRIES // workers // (m * m))
+    starts = range(0, len(lams), per_stack)
+
+    def job(lo: int):
+        chunk = lams[lo : lo + per_stack]
         stack = np.broadcast_to(base, (len(chunk), m, m)).copy()
         diag = np.arange(m)
         stack[:, diag, diag] -= _shifts(spec, N, chunk)
-        yield stack
+        return factor(stack, chunk)
+
+    if workers == 1 or len(starts) <= 1:
+        return [job(lo) for lo in starts]
+    return list(_pool(workers, os.getpid()).map(job, starts))
 
 
 def sigma_min_grid(spec: SystemSpec, N: int, lams) -> np.ndarray:
@@ -137,9 +178,9 @@ def sigma_min_grid(spec: SystemSpec, N: int, lams) -> np.ndarray:
     """
     N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
-    out = []
-    for stack in _stacks(spec, N, lams):
-        out.append(np.linalg.svd(stack, compute_uv=False)[:, -1])
+    out = _map_stacks(
+        spec, N, lams, lambda stack, _: np.linalg.svd(stack, compute_uv=False)[:, -1]
+    )
     return np.concatenate(out) if out else np.zeros(0)
 
 
@@ -156,22 +197,25 @@ def det_phase_and_log_derivative(
     N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
     rs = np.arange(-N, N + 1)
-    phases, slopes = [], []
-    lo = 0
-    for stack in _stacks(spec, N, lams):
-        w = lams[lo : lo + len(stack), None] + 1j * spec.omega * rs[None, :]
-        lo += len(stack)
+
+    def factor(stack, chunk):
+        w = chunk[:, None] + 1j * spec.omega * rs[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             shift_slope = spec.alpha * principal_power(w, spec.alpha) / w
         phase = np.linalg.slogdet(stack)[0]
         slope = np.full(len(stack), complex(np.inf, 0.0))
         ok = phase != 0.0
+        if ok.all():
+            # a basic slice is a view: no copy of the whole stack
+            ok = slice(None)
         inv_diag = np.diagonal(np.linalg.inv(stack[ok]), axis1=1, axis2=2)
         slope[ok] = -np.sum(inv_diag * np.repeat(shift_slope[ok], spec.dim, axis=1), axis=1)
-        phases.append(phase)
-        slopes.append(slope)
-    if not phases:
+        return phase, slope
+
+    parts = _map_stacks(spec, N, lams, factor)
+    if not parts:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
+    phases, slopes = zip(*parts)
     return np.concatenate(phases), np.concatenate(slopes)
 
 
@@ -184,12 +228,14 @@ def evaluate_grid(spec: SystemSpec, N: int, lams) -> tuple[np.ndarray, np.ndarra
     """
     N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
-    logs, sigmas = [], []
-    for stack in _stacks(spec, N, lams):
+
+    def factor(stack, _):
         phase, logdet = np.linalg.slogdet(stack)
         logdet = np.where(phase == 0.0, -np.inf, logdet)
-        logs.append(logdet)
-        sigmas.append(np.linalg.svd(stack, compute_uv=False)[:, -1])
-    if not logs:
+        return logdet, np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+    parts = _map_stacks(spec, N, lams, factor)
+    if not parts:
         return np.zeros(0), np.zeros(0)
+    logs, sigmas = zip(*parts)
     return np.concatenate(logs), np.concatenate(sigmas)

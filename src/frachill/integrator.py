@@ -177,7 +177,7 @@ def solve_liouville_weyl(
     if isinstance(system, SystemSpec):
         alpha = system.alpha
         grid = _grid(history.t0, t_end, dt)
-        js = [eval_J(system, t) for t in grid]
+        js = eval_J(system, grid)
 
         def rhs(t: float, x: np.ndarray) -> np.ndarray:
             j = int(round((t - history.t0) / dt))

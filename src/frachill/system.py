@@ -8,7 +8,6 @@ J(t) is a real matrix for every t.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -135,19 +134,21 @@ def make_system(
     )
 
 
-def eval_J(spec: SystemSpec, t: float) -> np.ndarray:
+def eval_J(spec: SystemSpec, t) -> np.ndarray:
     """The periodic matrix J(t) = sum_k J_k exp(i omega k t), as a real array.
 
     Realness is exact by summing J_0 + 2 Re(J_k e^{i omega k t}) over k > 0.
+    ``t`` may be a scalar, which gives a (dim, dim) matrix, or an array
+    of any shape, which gives one matrix per time: shape t.shape + (dim, dim).
     """
     coeffs = spec.coeffs
-    out = coeffs.coeff(0).real.copy()
-    wt = spec.omega * t
+    wt = spec.omega * np.asarray(t, dtype=float)
+    out = np.broadcast_to(coeffs.coeff(0).real, wt.shape + (spec.dim,) * 2).copy()
     for k in range(1, coeffs.k_max + 1):
         jk = coeffs.harmonics.get(k)
         if jk is None:
             continue
-        phase = cmath.exp(1j * k * wt)
+        phase = np.exp(1j * k * wt)[..., None, None]
         out += 2.0 * (jk * phase).real
     return out
 

@@ -1,6 +1,7 @@
 """Tests for Hill matrix assembly, determinants, and singular values."""
 
 import math
+import multiprocessing
 
 import mpmath as mp
 import numpy as np
@@ -311,3 +312,85 @@ class TestProperties:
             hm = assemble(spec, 4, lam)
             assert ld == pytest.approx(np.linalg.slogdet(hm.matrix)[1], rel=1e-12)
             assert sg == pytest.approx(sigma_min_and_nullvector(hm)[0], abs=1e-12)
+
+
+class TestStackMapper:
+    """Chunking and worker count change how stacks are factored, not the results."""
+
+    @staticmethod
+    def grids(spec, N, lams):
+        sigma = sigma_min_grid(spec, N, lams)
+        logdet, sigma_eval = evaluate_grid(spec, N, lams)
+        phase, slope = det_phase_and_log_derivative(spec, N, lams)
+        return sigma, logdet, sigma_eval, phase, slope
+
+    @pytest.mark.parametrize(
+        "spec", [mathieu_spec(alpha=0.5), constant_spec(1.0)], ids=["mathieu", "singular"]
+    )
+    def test_bitwise_equal_to_one_stack(self, spec, monkeypatch):
+        rng = np.random.default_rng(43)
+        lams = rng.normal(size=40) + 1j * rng.normal(size=40)
+        # an exact zero of det for the constant system J_0 = 1, in the
+        # second stack, so that stack takes the masked inverse
+        lams[17] = 1.0
+        N = 3
+        m = spec.dim * (2 * N + 1)
+        monkeypatch.setattr(hill, "_workers", lambda: 1)
+        reference = self.grids(spec, N, lams)
+        pools = []
+        real_pool = hill._pool
+        monkeypatch.setattr(
+            hill, "_pool", lambda w, pid: pools.append(w) or real_pool(w, pid)
+        )
+        # 14 matrices per stack on one worker, 7 on two: 40 = 14 + 14 + 12
+        # and 40 = 5 * 7 + 5, uneven last stacks both times
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 14 * m * m)
+        for workers in (1, 2):
+            monkeypatch.setattr(hill, "_workers", lambda: workers)
+            for got, want in zip(self.grids(spec, N, lams), reference):
+                np.testing.assert_array_equal(got, want)
+        assert pools == [2, 2, 2]
+        if spec.dim == 1:
+            phase, slope = reference[3:]
+            assert phase[17] == 0.0 and np.isinf(slope[17])
+
+    def test_one_stack_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(hill, "_workers", lambda: 2)
+        monkeypatch.setattr(hill, "_pool", lambda w, pid: pytest.fail("pool used"))
+        det_phase_and_log_derivative(periodic_spec(2.5), 20, [0.1 + 0.2j, 0.3])
+
+    def test_linalg_error_reaches_caller_unchanged(self, monkeypatch):
+        spec = mathieu_spec(alpha=0.5)
+        lams = np.linspace(0.1, 2.0, 30) + 0.5j
+        # a NaN lambda makes LAPACK's SVD fail: in the second of two
+        # stacks inline, in the third of four on two workers
+        lams[22] = complex(np.nan, 0.0)
+        m = spec.dim * 7
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 16 * m * m)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(hill, "_workers", lambda: workers)
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                sigma_min_grid(spec, 3, lams)
+            errors.append(info.value)
+        inline, pooled = errors
+        assert type(pooled) is type(inline)
+        assert pooled.args == inline.args
+
+    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child, so a
+        # child that reused the parent's pool would wait forever
+        spec = mathieu_spec(alpha=0.5)
+        lams = np.linspace(0.1, 2.0, 30) + 0.5j
+        monkeypatch.setattr(hill, "_workers", lambda: 2)
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 16 * 14 * 14)
+        sigma_min_grid(spec, 3, lams)
+        child = multiprocessing.get_context("fork").Process(
+            target=sigma_min_grid, args=(spec, 3, lams)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0

@@ -84,6 +84,24 @@ class TestEvalJ:
             np.testing.assert_allclose(eval_J(spec, t), ref.real, atol=1e-13)
 
 
+    def test_time_array_is_bitwise_equal_to_per_node_calls(self):
+        # harmonics up to k = 4 with a gap at k = 3, on a march-sized grid
+        rng = np.random.default_rng(99)
+        mats = {
+            0: rng.standard_normal((3, 3)),
+            1: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+            2: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+            4: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+        }
+        spec = make_system(0.7, 1.3, mats)
+        assert spec.coeffs.k_max == 4
+        ts = -3.0 + 1e-3 * np.arange(5000)
+        grid = eval_J(spec, ts)
+        assert grid.shape == (5000, 3, 3) and grid.dtype == np.float64
+        np.testing.assert_array_equal(grid, [eval_J(spec, t) for t in ts])
+        assert eval_J(spec, ts.reshape(50, 100)).shape == (50, 100, 3, 3)
+        assert eval_J(spec, 0.25).shape == (3, 3)
+
 class TestPrincipalPower:
     def test_known_values(self):
         assert principal_power(4.0, 0.5) == pytest.approx(2.0)
