@@ -3,29 +3,38 @@
 The linear Caputo problem D^a x = l x, x(0) = x0 has the exact solution
 E_a(l t^a) x0, so the Mittag-Leffler routines double as an oracle for the
 marcher.  The a = 1 limit is checked against a hand-coded classical
-trapezoid PECE marcher written directly from the integral form.
+trapezoid PECE marcher written directly from the integral form.  The
+blocked FFT memory sum of solve_caputo is checked against a direct-sum
+PECE kept here as the reference, and the PECE weights against mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from frachill import integrator
 from frachill.errors import DomainError, NonFiniteStateError
 from frachill.history import (
     Constant,
     ExpGrowth,
+    FloquetForm,
     ForcingEvaluator,
     PiecewiseConstantRamp,
     TruncatedSinusoid,
+    forcing_grid,
 )
 from frachill.integrator import (
     IvpProblem,
+    Trajectory,
+    _grid,
+    _pece_weights,
     solve_caputo,
     solve_liouville_weyl,
     voc_solution_scalar,
 )
-from frachill.specfun import mittag_leffler
+from frachill.specfun import mittag_leffler, reciprocal_gamma
 from frachill.system import FractionalOrder, make_system
 
 
@@ -41,6 +50,64 @@ def classical_pece(rhs, x0, t0, t_end, dt):
         xs.append(xs[-1] + 0.5 * dt * (fm + rhs(t + dt, xp)))
         t += dt
     return np.array(xs)
+
+
+BLOCK = integrator._BLOCK
+
+
+def direct_pece(p):
+    """solve_caputo with O(n^2) direct memory sums: the reference for the
+    blocked FFT convolution.  Same weights, the step arithmetic in the
+    textbook order."""
+    alpha = p.alpha
+    times = _grid(p.t0, p.t_end, p.dt)
+    steps = times.shape[0] - 1
+    h = p.dt
+    n = p.initial.shape[0]
+    if p.forcing is not None:
+        fvals = forcing_grid(p.forcing, times)
+    else:
+        fvals = np.zeros((steps + 1, n))
+    probe = np.asarray(p.rhs(times[0], p.initial))
+    dtype = np.result_type(probe.dtype, p.initial.dtype, fvals.dtype)
+    if not np.issubdtype(dtype, np.complexfloating):
+        dtype = np.float64
+
+    def f0(j, x):
+        return np.asarray(p.rhs(times[j], x)) - fvals[j]
+
+    b, w, a0 = _pece_weights(alpha, steps + 1)
+    c_pred = h**alpha * reciprocal_gamma(alpha + 1.0)
+    c_corr = h**alpha * reciprocal_gamma(alpha + 2.0)
+    xs = np.zeros((steps + 1, n), dtype=dtype)
+    fs = np.zeros((steps + 1, n), dtype=dtype)
+    xs[0] = p.initial
+    fs[0] = f0(0, xs[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            x_pred = xs[0] + c_pred * (b[m::-1] @ fs[: m + 1])
+            mem_corr = a0[m] * fs[0]
+            if m >= 1:
+                mem_corr = mem_corr + w[m - 1 :: -1] @ fs[1 : m + 1]
+            x_new = xs[0] + c_corr * (mem_corr + f0(m + 1, x_pred))
+            if not np.all(np.isfinite(x_new)):
+                raise NonFiniteStateError(
+                    "state diverged", last_valid_time=float(times[m])
+                )
+            xs[m + 1] = x_new
+            fs[m + 1] = f0(m + 1, x_new)
+    return Trajectory(times=times, values=xs, scheme="direct", dt=h)
+
+
+def direct_liouville_weyl(monkeypatch, *args, **kwargs):
+    """solve_liouville_weyl marched by direct_pece."""
+    with monkeypatch.context() as mp:
+        mp.setattr(integrator, "solve_caputo", direct_pece)
+        return solve_liouville_weyl(*args, **kwargs)
+
+
+def max_rel_gap(got, ref):
+    return np.max(np.abs(got.values - ref.values)) / np.max(np.abs(ref.values))
 
 
 def linear_problem(alpha, lam=-1.0, dt=1e-3, t_end=1.0):
@@ -403,3 +470,97 @@ class TestBoundedness:
             )
             bound = 3.0 * h.norm_inf() + 1e-3
             assert np.max(np.abs(tr.values)) <= bound
+
+
+class TestPeceWeights:
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_against_mpmath(self, alpha):
+        # the closed forms cancel to r^(a-1) from terms of size r^(a+1);
+        # at r = 1e6 they lose about 12 digits
+        rs = np.unique(
+            np.concatenate(
+                (np.arange(40), np.logspace(1.6, 6.0, 45).astype(int))
+            )
+        )
+        b, w, a0 = _pece_weights(alpha, int(rs[-1]) + 1)
+        a = mpmath.mpf(alpha)
+        for r in rs:
+            rr = mpmath.mpf(int(r))
+            with mpmath.workdps(40):
+                exact = (
+                    (rr + 1) ** a - rr**a,
+                    (rr + 2) ** (a + 1) + rr ** (a + 1) - 2 * (rr + 1) ** (a + 1),
+                    rr ** (a + 1) - (rr - a) * (rr + 1) ** a,
+                )
+            for got, ref in zip((b[r], w[r], a0[r]), exact):
+                assert abs(got - float(ref)) <= 1e-13 * abs(float(ref)), (r, got)
+
+
+class TestBlockedConvolution:
+    """solve_caputo against the direct-sum reference, to 1e-12 relative."""
+
+    def test_long_constant_history(self, monkeypatch):
+        spec = make_system(0.5, 1.0, {0: [[-1.0]]})
+        args = (spec, Constant(values=[1.0]), 400.0, 0.01)
+        got = solve_liouville_weyl(*args)
+        ref = direct_liouville_weyl(monkeypatch, *args)
+        assert got.times.shape[0] == 40_001
+        assert max_rel_gap(got, ref) <= 1e-12
+
+    def test_complex_floquet_history(self, monkeypatch):
+        spec = example_system(2.2)
+        h = FloquetForm(
+            lam=0.3 + 0.1j, omega=1.0, coeffs={0: [1.0], 1: [0.3j], -1: [0.1]}
+        )
+        args = (spec, h, 4.0 * math.pi, 1e-3)
+        got = solve_liouville_weyl(*args)
+        ref = direct_liouville_weyl(monkeypatch, *args)
+        assert np.iscomplexobj(got.values)
+        assert max_rel_gap(got, ref) <= 1e-12
+
+    def test_mathieu_system(self, monkeypatch):
+        # companion form of D^a y + (1 + 2 sin 2t) y = 0, a state of two
+        spec = make_system(
+            0.7, 2.0, {0: [[0.0, 1.0], [-1.0, 0.0]], 1: [[0.0, 0.0], [-1.0j, 0.0]]}
+        )
+        args = (spec, Constant(values=[1.0, 0.0]), 50.0, 0.01)
+        got = solve_liouville_weyl(*args)
+        ref = direct_liouville_weyl(monkeypatch, *args)
+        assert max_rel_gap(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "steps",
+        [1, BLOCK - 1, BLOCK, BLOCK + 1]
+        + [BLOCK * 2**k + d for k in (1, 2, 3, 4) for d in (-1, 1)],
+    )
+    def test_step_counts_around_the_blocks(self, steps):
+        p = IvpProblem(
+            order=FractionalOrder(0.4),
+            rhs=lambda t, x: -x + 0.5 * np.sin(3.0 * t) * x**2,
+            initial=[0.8],
+            t0=0.0,
+            t_end=steps * 0.01,
+            dt=0.01,
+            forcing=ForcingEvaluator(TruncatedSinusoid(amplitude=[1.0]), 0.4),
+        )
+        got = solve_caputo(p)
+        ref = direct_pece(p)
+        assert got.times.shape[0] == steps + 1
+        assert max_rel_gap(got, ref) <= 1e-12
+
+    @pytest.mark.parametrize("x0", [5.0, 0.5])
+    def test_divergence_time_matches_reference(self, x0):
+        # x0 = 5 blows up inside the first block, x0 = 0.5 after 865 steps
+        p = IvpProblem(
+            order=FractionalOrder(0.5),
+            rhs=lambda t, x: x**3,
+            initial=[x0],
+            t0=0.0,
+            t_end=5.0,
+            dt=1e-3,
+        )
+        with pytest.raises(NonFiniteStateError) as got:
+            solve_caputo(p)
+        with pytest.raises(NonFiniteStateError) as ref:
+            direct_pece(p)
+        assert got.value.last_valid_time == ref.value.last_valid_time
