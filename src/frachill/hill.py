@@ -9,12 +9,14 @@ the determinant and accepts them on the smallest singular value.
 
 The grid services (sigma_min_grid, det_phase_and_log_derivative,
 evaluate_grid) factor stacks of H_N with batched LAPACK calls, which
-release the interpreter lock.  A call that needs more than one stack
-builds and factors its stacks on a thread pool with one thread per core
-in the process's affinity mask; the pool starts on first use and is
-never configured.  Each matrix is factored on its own, so results do
-not depend on how the lambdas are split into stacks or on the number
-of cores.
+release the interpreter lock.  evaluate_grid takes one SVD per matrix
+and reads both of its values from it: sigma_min, and log|det| as the
+sum of log sigma_i, -inf where a singular value is 0.  A call that
+needs more than one stack builds and factors its stacks on a thread
+pool with one thread per core in the process's affinity mask; the pool
+starts on first use and is never configured.  Each matrix is factored
+on its own, so results do not depend on how the lambdas are split into
+stacks or on the number of cores.
 """
 
 from __future__ import annotations
@@ -222,17 +224,18 @@ def det_phase_and_log_derivative(
 def evaluate_grid(spec: SystemSpec, N: int, lams) -> tuple[np.ndarray, np.ndarray]:
     """(log|det H_N|, sigma_min) arrays over a lambda grid.
 
-    The determinant comes from an LU factorization with partial
-    pivoting (log|det| = sum log|u_ii|), so huge and tiny determinants
-    never overflow.  Exact singularities carry the -inf sentinel.
+    One SVD per node gives both: |det H| is the product of the singular
+    values, so log|det| = sum log sigma_i, which never overflows for
+    huge or tiny determinants.  A zero singular value, an exact
+    singularity, gives the -inf sentinel.
     """
     N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
 
     def factor(stack, _):
-        phase, logdet = np.linalg.slogdet(stack)
-        logdet = np.where(phase == 0.0, -np.inf, logdet)
-        return logdet, np.linalg.svd(stack, compute_uv=False)[:, -1]
+        s = np.linalg.svd(stack, compute_uv=False)
+        with np.errstate(divide="ignore"):
+            return np.sum(np.log(s), axis=1), s[:, -1]
 
     parts = _map_stacks(spec, N, lams, factor)
     if not parts:

@@ -7,14 +7,16 @@ simulation cross-checks of Floquet-form solutions y = e^{lt} p(t).
 
 The search counts the zeros of det H_N in a strip with the argument
 principle (Delves & Lyness 1967) and refines each with Newton's trace
-iteration (Guettel & Tisseur 2017, Acta Numerica, section 4).  On any
-strip clear of the branch cuts, which includes every strip with
-Re >= 0 and so the default one, the roots returned are all the zeros
-of det H_N there: an empty list certifies that none exist.  A zero
-within 1e-13 times the strip scale of the counting contour raises
-IterationError instead.  Strips that cross a cut fall back on a
-sigma_min grid scan for seeds, and their roots are not certified.
-FRACHILL_LOG=info logs one line per search: route, zeros counted,
+iteration (Guettel & Tisseur 2017, Acta Numerica, section 4).  det H_N
+is analytic off the branch cuts {Re <= 0, Im = k omega}, so a strip
+that a cut crosses is counted in cut-free rectangles: one right of
+Re = 0 and bands between consecutive cuts left of it.  Every strip is
+certified except the slivers |Re| < 1e-6, and |Im - k omega| < 1e-6
+where Re < 0: the roots returned are all the zeros of det H_N in the
+strip outside them, so an empty list certifies that none exist there.
+A zero within 1e-13 times the rectangle scale of a counting contour
+raises IterationError instead.  FRACHILL_LOG=info logs one line per
+search: route, rectangles counted, sliver half-width, zeros counted,
 roots returned, Newton iterations per root and the seeds rejected by
 tol, strip and dedupe.
 """
@@ -35,7 +37,7 @@ from frachill.hill import (
     assemble,
     det_phase_and_log_derivative,
     sigma_min_and_nullvector,
-    sigma_min_grid,
+    sigma_min_grid,  # unused here; the bench tracer asserts this binding
 )
 from frachill.history import FloquetForm
 from frachill.integrator import Trajectory, solve_liouville_weyl
@@ -64,8 +66,9 @@ log = logging.getLogger(__name__)
 # eigenvalues, seeds, and duplicates are told apart at these scales
 _DEDUPE_RADIUS = 1e-6
 _STRIP_SLACK = 1e-6
-# a strip from Re >= 0 is counted from here: the branch points of the
-# shifts (lam + i r omega)^alpha lie on Re = 0
+# counting rectangles keep this far from Re = 0, where the branch points
+# of the shifts (lam + i r omega)^alpha lie, and, where Re < 0, from the
+# branch cuts Im = k omega
 _BRANCH_GAP = _STRIP_SLACK
 # a contour step whose det phase turns by more than this is bisected
 _MAX_PHASE_STEP = 0.25 * math.pi
@@ -154,22 +157,6 @@ class Eigenpair:
             raise DomainError(
                 f"unknown classification {self.classification!r}"
             )
-
-
-def _local_minima(sig: np.ndarray) -> np.ndarray:
-    """Boolean mask of 8-neighborhood local minima, edges included."""
-    padded = np.pad(sig, 1, constant_values=np.inf)
-    best = np.ones_like(sig, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = padded[
-                1 + di : 1 + di + sig.shape[0],
-                1 + dj : 1 + dj + sig.shape[1],
-            ]
-            best &= sig <= shifted
-    return best
 
 
 def _inside(lam: complex, box) -> bool:
@@ -340,46 +327,42 @@ class _PhaseWalk:
         raise IterationError(f"no cut of the cell {cell} avoids the zeros of det H_N")
 
 
-def _contour_rect(spec: SystemSpec, N: int, strip, n_re: int, n_im: int):
-    """The rectangle the zeros are counted in, or None when a cut crosses it.
+def _rectangles(spec: SystemSpec, N: int, box, re0: float):
+    """Cut-free rectangles covering box, and the half-width of what they leave out.
 
     det H_N is analytic off the branch cuts Re lam <= 0, Im lam = k omega
-    (|k| <= N).  The rectangle extends the strip by half a lattice step
-    on every side, so that roots on the strip's own edges lie inside it.
-    A strip that starts at Re >= 0 is counted from Re = _BRANCH_GAP,
-    clear of the branch points i k omega on Re = 0.
+    (|k| <= N).  A box that starts at Re >= 0 is one rectangle from
+    Re = _BRANCH_GAP, clear of the branch points i k omega on Re = 0;
+    a box that no cut crosses is one rectangle.  A box that a cut
+    crosses splits into a rectangle right of Re = _BRANCH_GAP and bands
+    left of Re = -_BRANCH_GAP between consecutive cuts, each
+    _BRANCH_GAP clear of them.  The sliver half-width is 0 when the
+    rectangles cover the whole box.
     """
-    re0, re1, im0, im1 = strip
-    pad_re = 0.5 * (re1 - re0) / (n_re - 1)
-    pad_im = 0.5 * (im1 - im0) / (n_im - 1)
-    y0, y1 = im0 - pad_im, im1 + pad_im
+    x0, x1, y0, y1 = box
+    gap = _BRANCH_GAP
     if re0 >= 0.0:
-        x0 = max(re0 - pad_re, _BRANCH_GAP)
-        return (x0, max(re1 + pad_re, 2.0 * x0), y0, y1)
+        left = max(x0, gap)
+        return [(left, max(x1, 2.0 * left), y0, y1)], (gap if left > x0 else 0.0)
     k_lo = max(-N, math.ceil(y0 / spec.omega))
     k_hi = min(N, math.floor(y1 / spec.omega))
-    if k_lo <= k_hi:
-        return None
-    return (re0 - pad_re, re1 + pad_re, y0, y1)
+    if k_lo > k_hi:
+        return [box], 0.0
+    cuts = [k * spec.omega for k in range(k_lo, k_hi + 1)]
+    lows = [y0] + [cut + gap for cut in cuts]
+    highs = [cut - gap for cut in cuts] + [y1]
+    rects = [(gap, x1, y0, y1)]
+    rects += [(x0, min(x1, -gap), lo, hi) for lo, hi in zip(lows, highs)]
+    return [r for r in rects if r[0] < r[1] and r[2] < r[3]], gap
 
 
-def _contour_route(search: _Search, rect, n_re: int, n_im: int, re0: float):
+def _contour_route(search: _Search, walk: _PhaseWalk, rect):
     """Count the zeros in rect, then refine them one cell each.
 
-    Returns (count, roots): the roots before the strip filter, plus any
-    exact root on a branch point that the contour steps around.  Raises
+    Returns (count, roots), the roots before the strip filter.  Raises
     IterationError when the refinement cannot account for every zero
     counted, so the roots returned are all the zeros in rect.
     """
-    spec, N = search.spec, search.N
-    x0, x1, y0, y1 = rect
-    walk = _PhaseWalk(
-        spec,
-        N,
-        complex(x0, y0),
-        complex((x1 - x0) / (n_re - 1), (y1 - y0) / (n_im - 1)),
-        1e-13 * max(1.0, x1 - x0, y1 - y0),
-    )
     count = walk.winding(rect)
     roots = []
     found = 0
@@ -408,40 +391,7 @@ def _contour_route(search: _Search, rect, n_re: int, n_im: int, re0: float):
         raise IterationError(
             f"counted {count} zeros of det H_N in {rect} but refined {found}"
         )
-    # the marginal case: a root exactly at a branch point on Re = 0
-    if re0 <= 0.0 < x0:
-        for k in range(-N, N + 1):
-            lam = 1j * spec.omega * k
-            if y0 <= lam.imag <= y1:
-                sigma, v = sigma_min_and_nullvector(assemble(spec, N, lam))
-                if sigma < search.tol:
-                    roots.append((lam, sigma, v))
     return count, roots
-
-
-def _scan_route(search: _Search, strip, n_re: int, n_im: int):
-    """Newton from every low local minimum of sigma_min on the lattice.
-
-    The route for strips crossed by a branch cut, where the phase of
-    det H_N jumps and counts nothing; its roots are not certified.
-    """
-    spec, N = search.spec, search.N
-    re0, re1, im0, im1 = strip
-    res = np.linspace(re0, re1, n_re)
-    ims = np.linspace(im0, im1, n_im)
-    lams = res[None, :] + 1j * ims[:, None]
-    sig = sigma_min_grid(spec, N, lams.ravel()).reshape(lams.shape)
-    coarse = 0.5 * float(np.max(sig))
-    seeds = np.argwhere(_local_minima(sig) & (sig <= coarse))
-    order = np.argsort(sig[seeds[:, 0], seeds[:, 1]], kind="stable")
-    h_re, h_im = res[1] - res[0], ims[1] - ims[0]
-    box = (re0 - h_re, re1 + h_re, im0 - h_im, im1 + h_im)
-    roots = []
-    for i, j in seeds[order]:
-        hit = search.refine(complex(lams[i, j]), 1, box)
-        if hit is not None:
-            roots.append(hit)
-    return roots
 
 
 def find_eigenvalues(
@@ -457,26 +407,25 @@ def find_eigenvalues(
     (-omega/2, omega/2], one representative per group lam + i k omega.
     Every strip treats its imaginary interval as half-open, (im0, im1].
 
-    Strips clear of the branch cuts {Re lam < 0, Im lam = k omega,
-    |k| <= N} are certified; every strip with re0 >= 0 is one.  The
-    zeros of det H_N in the strip, padded by half a lattice step, are
-    counted as the winding of its phase around the edge; cells are
-    bisected until each holds one zero, and Newton's trace iteration
-    refines each from its cell centre.  A zero the refinement misses,
-    or one within 1e-13 times the strip scale of the contour, raises
-    IterationError, so an empty list from such a strip means det H_N
-    has no zero there.  A strip from Re = 0 is counted from Re = 1e-6,
-    clear of the branch points i k omega on Re = 0; a root exactly on
-    a branch point is still reported, as the marginal case.
+    The zeros of det H_N in the strip, padded by half a lattice step,
+    are counted as the winding of its phase around the edge of each
+    rectangle that no branch cut {Re lam <= 0, Im lam = k omega,
+    |k| <= N} crosses: the whole padded strip when no cut crosses it,
+    else one rectangle right of Re = 1e-6 and bands left of Re = -1e-6
+    between consecutive cuts, 1e-6 clear of them.  Cells are bisected
+    until each holds one zero, and Newton's trace iteration refines
+    each from its cell centre.  A zero the refinement misses, or one
+    within 1e-13 times the rectangle scale of a contour, raises
+    IterationError.  So every strip is certified except the slivers
+    |Re lam| < 1e-6, and |Im lam - k omega| < 1e-6 where Re lam < 0: an
+    empty list means det H_N has no zero in the strip outside them.  A
+    root exactly on a branch point i k omega is still reported, as the
+    marginal case.
 
-    Strips that cross a cut are scanned instead: Newton runs from each
-    low local minimum of sigma_min on a lattice, and an empty list
-    means only that nothing was found there.
-
-    grid_shape (n_re, n_im) sets the starting nodes: n_re along each
-    side of the contour parallel to the real axis and n_im along each
-    side parallel to the imaginary one, or the scan lattice on a strip
-    that crosses a cut.  Either way roots are accepted on
+    grid_shape (n_re, n_im) sets the starting lattice of the contours,
+    n_re by n_im nodes spanning the one rectangle, or the padded strip
+    when it is split; each edge starts from the lattice nodes on it.
+    Roots are accepted on
     sigma_min < tol, 0 < tol < inf; det itself over- and underflows
     with N.  The strip must be finite.
     """
@@ -494,13 +443,34 @@ def find_eigenvalues(
     if n_re < 2 or n_im < 2:
         raise DomainError(f"grid_shape needs at least 2 x 2 nodes, got {grid_shape}")
     search = _Search(spec=spec, N=N, tol=tol)
-    rect = _contour_rect(spec, N, strip, n_re, n_im)
-    if rect is None:
-        route, count = "scan", None
-        roots = _scan_route(search, strip, n_re, n_im)
-    else:
-        route = "contour"
-        count, roots = _contour_route(search, rect, n_re, n_im, re0)
+    pad_re = 0.5 * (re1 - re0) / (n_re - 1)
+    pad_im = 0.5 * (im1 - im0) / (n_im - 1)
+    box = (re0 - pad_re, re1 + pad_re, im0 - pad_im, im1 + pad_im)
+    rects, sliver = _rectangles(spec, N, box, re0)
+    # one starting lattice, over the rectangle or over the padded strip
+    # that the rectangles split, so that narrow bands get few nodes
+    x0, x1, y0, y1 = rects[0] if len(rects) == 1 else box
+    walk = _PhaseWalk(
+        spec,
+        N,
+        complex(x0, y0),
+        complex((x1 - x0) / (n_re - 1), (y1 - y0) / (n_im - 1)),
+        1e-13 * max(1.0, x1 - x0, y1 - y0),
+    )
+    count, roots = 0, []
+    for rect in rects:
+        found, hits = _contour_route(search, walk, rect)
+        count += found
+        roots += hits
+    # the marginal case: a root exactly at a branch point on Re = 0,
+    # which the rectangles step around
+    if sliver and re0 <= 0.0 <= box[1]:
+        for k in range(-N, N + 1):
+            lam = 1j * spec.omega * k
+            if box[2] <= lam.imag <= box[3]:
+                sigma, v = sigma_min_and_nullvector(assemble(spec, N, lam))
+                if sigma < tol:
+                    roots.append((lam, sigma, v))
 
     # the imaginary interval is half-open (im0, im1]: a root on the
     # lower edge is the group partner of one on the upper edge and
@@ -527,12 +497,14 @@ def find_eigenvalues(
             accepted.append(root)
 
     log.info(
-        "find_eigenvalues route=%s N=%d strip=%s counted=%s returned=%d "
-        "newton_iterations=%s rejected_tol=%d rejected_strip=%d rejected_dedupe=%d",
-        route,
+        "find_eigenvalues route=contour N=%d strip=%s rects=%d sliver=%.3g "
+        "counted=%d returned=%d newton_iterations=%s rejected_tol=%d "
+        "rejected_strip=%d rejected_dedupe=%d",
         search.N,
         ":".join(f"{x:.6g}" for x in strip),
-        "-" if count is None else count,
+        len(rects),
+        sliver,
+        count,
         len(accepted),
         ",".join(map(str, search.iterations)) or "-",
         search.rejected["tol"],

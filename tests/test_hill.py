@@ -313,6 +313,20 @@ class TestProperties:
             assert ld == pytest.approx(np.linalg.slogdet(hm.matrix)[1], rel=1e-12)
             assert sg == pytest.approx(sigma_min_and_nullvector(hm)[0], abs=1e-12)
 
+    def test_evaluate_grid_is_one_svd(self):
+        # sigma_min and log|det| = sum log sigma_i come from one SVD; the
+        # 4 x 4 lattice has a node within 1e-3 of the b = 2.5 root, but
+        # none on it, where both log|det| values are rounding noise
+        spec, root = periodic_spec(2.5), 0.108241373276464
+        offsets = np.linspace(-2e-3, 2e-3, 4)
+        lams = (root + offsets[:, None] + 1j * offsets[None, :]).ravel()
+        assert np.min(np.abs(lams - root)) < 1e-3
+        logs, sigmas = evaluate_grid(spec, 20, lams)
+        for lam, ld, sg in zip(lams, logs, sigmas):
+            matrix = assemble(spec, 20, lam).matrix
+            assert sg == np.linalg.svd(matrix, compute_uv=False)[-1]
+            assert ld == pytest.approx(np.linalg.slogdet(matrix)[1], rel=1e-12)
+
 
 class TestStackMapper:
     """Chunking and worker count change how stacks are factored, not the results."""

@@ -44,6 +44,19 @@ def rotation_block(rho, theta):
 # regression values frozen after the first converged runs of the solver
 UNSTABLE_LAM = 0.108241373276464  # b=2.5, N=20
 VERIFY_LAM = 0.013376542581224  # b=2.2, N=10
+# the reproduce fig5_eigs_mathieu.csv roots as the sigma_min scan found them
+MATHIEU_LAMS = [
+    complex(-0.32010657663554826, 1.5000000000000002),
+    complex(-0.32010657663554809, -1.5000000000000002),
+    complex(-0.32010657663554809, 2.5),
+    complex(-0.32010657663554798, -0.50000000000000022),
+    complex(-0.32010657663554781, 0.49999999999999989),
+    complex(0.5564274968070263, -0.50000000000000022),
+    complex(0.55642749680702641, 0.50000000000000022),
+    complex(0.55642749680702686, 1.4999999999999998),
+    complex(0.55642749680702697, -1.5000000000000007),
+    complex(0.55642749680702774, 2.4999999999999996),
+]
 
 
 class TestGershgorin:
@@ -325,13 +338,50 @@ class TestCertifiedSearch:
 
     def test_route_follows_the_cuts(self, caplog):
         spec = make_system(0.5, 1.0, {0: rotation_block(0.9, 3 * math.pi / 8)})
-        # Re < 0 between the cuts on Im = 0 and Im = 1: still counted
-        find_eigenvalues(spec, 8, strip=(-1.0, 0.0, 0.4, 0.7))
-        assert search_log(caplog)["route"] == "contour"
-        # the cut on Im = 0 crosses this strip
-        find_eigenvalues(spec, 8, strip=(-1.0, 0.0, -0.3, 0.7), grid_shape=(21, 21))
+        # Re < 0 between the cuts on Im = 0 and Im = 1: one rectangle
+        between = find_eigenvalues(spec, 8, strip=(-1.0, 0.0, 0.4, 0.7))
         fields = search_log(caplog)
-        assert fields["route"] == "scan" and fields["counted"] == "-"
+        assert fields["route"] == "contour" and fields["counted"] == "2"
+        assert fields["rects"] == "1" and fields["sliver"] == "0"
+        # the cut on Im = 0 crosses this strip: counted right of Re = 0
+        # and in the bands below and above the cut
+        across = find_eigenvalues(
+            spec, 8, strip=(-1.0, 0.0, -0.3, 0.7), grid_shape=(21, 21)
+        )
+        fields = search_log(caplog)
+        assert fields["route"] == "contour" and fields["counted"] == "2"
+        assert fields["rects"] == "3" and fields["sliver"] == "1e-06"
+        assert len(across) == len(between) == 2
+        for ep, ref in zip(across, between):
+            assert abs(ep.lam - ref.lam) < 1e-12
+
+    def test_cut_crossing_strip_is_counted(self, monkeypatch, caplog):
+        # the reproduce fig5 Mathieu strip crosses the cuts Im = -2..2
+        def no_scan(*args):
+            raise AssertionError("no strip scans sigma_min")
+
+        monkeypatch.setattr(spectral, "sigma_min_grid", no_scan)
+        spec = make_system(
+            0.9, 1.0, {0: [[0.0, 1.0], [1.0, 0.0]], 1: [[0.0, 0.0], [-1.0j, 0.0]]}
+        )
+        pairs = find_eigenvalues(spec, 10, strip=(-3.0, 3.0, -2.5, 2.5))
+        fields = search_log(caplog)
+        assert fields["rects"] == "7" and fields["sliver"] == "1e-06"
+        assert fields["counted"] == "12" and fields["returned"] == "10"
+        assert len(pairs) == len(MATHIEU_LAMS)
+        for ref in MATHIEU_LAMS:
+            assert min(abs(ep.lam - ref) for ep in pairs) <= 1e-12
+
+    def test_root_in_a_sliver_is_not_returned(self, caplog):
+        # lam = (1e-4)^2 = 1e-8 is a root within 1e-6 of Re = 0 on a strip
+        # that the cut Im = 0 crosses: no rectangle holds it
+        spec = constant_spec(1e-4)
+        sigma, _ = sigma_min_and_nullvector(assemble(spec, 5, 1e-8))
+        assert sigma < 1e-9
+        assert find_eigenvalues(spec, 5, strip=(-1.0, 1.0, -0.5, 0.5)) == []
+        fields = search_log(caplog)
+        assert fields["rects"] == "3" and fields["sliver"] == "1e-06"
+        assert fields["counted"] == "0"
 
     def test_grid_shape_validation(self):
         with pytest.raises(DomainError):
