@@ -208,7 +208,7 @@ def _cmd_forcing(args) -> int:
     hist_doc, hist_hash = _load_json(args.history)
     history = parse_history(hist_doc)
     ts = _parse_grid(args.grid)
-    fe = ForcingEvaluator(history=history, alpha=args.alpha, method=args.method)
+    fe = ForcingEvaluator(history=history, alpha=args.alpha)
     vals = forcing_grid(fe, ts)
     header, rows = _trajectory_table(ts, vals)
     header = [h.replace("y", "f") for h in header]
@@ -217,7 +217,7 @@ def _cmd_forcing(args) -> int:
         header,
         rows,
         "forcing",
-        {"alpha": args.alpha, "method": args.method, "grid": args.grid},
+        {"alpha": args.alpha, "grid": args.grid},
         {"history": {"path": args.history, "sha256": hist_hash}},
         started,
     )
@@ -570,9 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--grid", required=True, help="start:stop:count")
-    p.add_argument(
-        "--method", choices=("auto", "closed", "quadrature"), default="auto"
-    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_forcing)
 
@@ -619,20 +616,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join grid/strip values onto their flag.
+    """Join dash-leading values onto their flag.
 
-    Values like "-0.5:0.5:201" start with a dash and would otherwise be
-    mistaken for an option by the parser.
+    Every long flag but --help takes a value, and values like
+    "-0.5:0.5:201", "-1e-3", "-inf" or "-0.5+0.25i" start with a dash, so
+    the parser would otherwise mistake them for an option.  A token that
+    is itself an option ("--..." or "-h") is never taken as a value.
     """
     joined = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         if (
-            tok in ("--re", "--im", "--strip", "--grid")
+            tok.startswith("--")
+            and tok not in ("--", "--help")
+            and "=" not in tok
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
-            and ":" in argv[i + 1]
+            and not argv[i + 1].startswith("--")
+            and argv[i + 1] != "-h"
         ):
             joined.append(f"{tok}={argv[i + 1]}")
             i += 2

@@ -10,14 +10,13 @@ is then defined and continuous for t >= t0 and decays like
 C (t - t0 + eta)^(-alpha).  Histories that break these requirements
 (backward-unbounded exponentials, derivative blow-up at t0) are refused.
 
-Every kind gives one analytic method, :meth:`HistoryFunction.tail_integral`:
-the integral above with its upper limit moved down to a cutoff, as one
-array-valued expression over a whole time array.  At cutoff = t0 it is
-Gamma(1 - alpha) F x0.  :func:`forcing_grid` is the single entry point
-that evaluates the forcing, analytically or by quadrature.  The
-exponential, sinusoid and Floquet kinds reduce to scaled incomplete
-gammas e^z Gamma(1 - alpha, z), z = mu (t - cutoff), which stay finite
-for large Re z where e^z alone overflows.
+Every kind gives the integral above, Gamma(1 - alpha) F x0, in closed
+form as :meth:`HistoryFunction.tail_integral`: one array-valued
+expression over a whole time array.  :func:`forcing_grid` is the single
+entry point that evaluates the forcing.  The exponential, sinusoid and
+Floquet kinds reduce to scaled incomplete gammas e^z Gamma(1 - alpha, z),
+z = mu (t - t0), which stay finite for large Re z where e^z alone
+overflows.
 """
 
 from __future__ import annotations
@@ -28,12 +27,10 @@ from dataclasses import dataclass
 from typing import ClassVar, Mapping
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
     FracHillError,
-    QuadratureError,
     SchemaError,
     SingularForcingError,
     UnboundedHistoryError,
@@ -42,10 +39,6 @@ from .specfun import _upper_gamma_scaled, reciprocal_gamma
 from .system import principal_power
 
 _T_TOL = 1e-12
-
-# per-integral accuracy and subinterval budget of the quadrature route
-_QUAD_TOL = 1e-10
-_QUAD_LIMIT = 200
 
 # times per analytic evaluation: bounds the (times x harmonics) and
 # (times x samples) work arrays of one chunk to a few MB
@@ -93,9 +86,6 @@ class HistoryFunction:
     def value(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def derivative(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
     def norm_inf(self) -> float:
         """sup of ||x0(t)|| over (-inf, t0] (upper bound for some kinds)."""
         raise NotImplementedError
@@ -104,19 +94,12 @@ class HistoryFunction:
         """sup of ||x0'(t)|| over [t0 - eta, t0] (upper bound for some kinds)."""
         raise NotImplementedError
 
-    def kinks(self) -> tuple[float, ...]:
-        return ()
-
-    def tail_integral(self, ts: np.ndarray, alpha: float, cutoff: float) -> np.ndarray:
-        """integral_{-inf}^{cutoff} (t - tau)^(-alpha) x0'(tau) dtau, analytic,
-        at each time of ts >= cutoff, shape (len(ts), dim)."""
+    def tail_integral(self, ts: np.ndarray, alpha: float) -> np.ndarray:
+        """integral_{-inf}^{t0} (t - tau)^(-alpha) x0'(tau) dtau, analytic,
+        at each time of ts >= t0, shape (len(ts), dim)."""
         raise DomainError(
             f"history kind {type(self).__name__} has no analytic tail integral"
         )
-
-    def tail_cutoff(self) -> float:
-        """Largest tau at which the analytic tail integral may start."""
-        return self.t0 - self.eta
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -134,16 +117,13 @@ class Constant(HistoryFunction):
     def value(self, t: float) -> np.ndarray:
         return self.values.copy()
 
-    def derivative(self, t: float) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def norm_inf(self) -> float:
         return float(np.linalg.norm(self.values))
 
     def sup_derivative(self) -> float:
         return 0.0
 
-    def tail_integral(self, ts, alpha, cutoff):
+    def tail_integral(self, ts, alpha):
         return np.zeros((len(ts), self.dim))
 
 
@@ -168,27 +148,20 @@ class TruncatedSinusoid(HistoryFunction):
     def value(self, t: float) -> np.ndarray:
         return self.amplitude * math.sin(self.frequency * t + self.phase)
 
-    def derivative(self, t: float) -> np.ndarray:
-        return (
-            self.amplitude
-            * self.frequency
-            * math.cos(self.frequency * t + self.phase)
-        )
-
     def norm_inf(self) -> float:
         return float(np.linalg.norm(self.amplitude))
 
     def sup_derivative(self) -> float:
         return self.frequency * float(np.linalg.norm(self.amplitude))
 
-    def tail_integral(self, ts, alpha, cutoff):
+    def tail_integral(self, ts, alpha):
         # x0' = amp * om * Re e^{i(om tau + phase)}; rotating the ray of
         # integration gives e^{i(om t + phase)} Gamma(1 - alpha, z) with
-        # z = i om (t - cutoff), which is e^{i(om cutoff + phase)} e^z Gamma
+        # z = i om (t - t0), which is e^{i(om t0 + phase)} e^z Gamma
         om = self.frequency
-        z = 1j * om * (np.asarray(ts, dtype=float) - cutoff)
+        z = 1j * om * (np.asarray(ts, dtype=float) - self.t0)
         rot = om ** (alpha - 1.0) * cmath.exp(
-            1j * (om * cutoff + self.phase + 0.5 * math.pi * (alpha - 1.0))
+            1j * (om * self.t0 + self.phase + 0.5 * math.pi * (alpha - 1.0))
         )
         factor = (rot * _upper_gamma_scaled(1.0 - alpha, z)).real
         return np.outer(factor, self.amplitude * om)
@@ -220,20 +193,16 @@ class ExpGrowth(HistoryFunction):
     def value(self, t: float) -> np.ndarray:
         return self.coefficient * math.exp(self.rate * (t - self.t0))
 
-    def derivative(self, t: float) -> np.ndarray:
-        return self.coefficient * self.rate * math.exp(self.rate * (t - self.t0))
-
     def norm_inf(self) -> float:
         return float(np.linalg.norm(self.coefficient))
 
     def sup_derivative(self) -> float:
         return self.rate * float(np.linalg.norm(self.coefficient))
 
-    def tail_integral(self, ts, alpha, cutoff):
+    def tail_integral(self, ts, alpha):
         rho = self.rate
-        z = rho * (np.asarray(ts, dtype=float) - cutoff)
-        scaled = _upper_gamma_scaled(1.0 - alpha, z).real
-        factor = rho ** alpha * math.exp(-rho * (self.t0 - cutoff)) * scaled
+        z = rho * (np.asarray(ts, dtype=float) - self.t0)
+        factor = rho ** alpha * _upper_gamma_scaled(1.0 - alpha, z).real
         return np.outer(factor, self.coefficient)
 
 
@@ -263,26 +232,16 @@ class PiecewiseConstantRamp(HistoryFunction):
             return self.far_value.copy()
         return self.far_value * (self.t0 - t) / (self.t0 - self.ramp_start)
 
-    def derivative(self, t: float) -> np.ndarray:
-        if t < self.ramp_start:
-            return np.zeros(self.dim)
-        return self.slope.copy()
-
-    def kinks(self) -> tuple[float, ...]:
-        return (self.ramp_start,)
-
     def norm_inf(self) -> float:
         return float(np.linalg.norm(self.far_value))
 
     def sup_derivative(self) -> float:
         return float(np.linalg.norm(self.slope))
 
-    def tail_integral(self, ts, alpha, cutoff):
+    def tail_integral(self, ts, alpha):
         ts = np.asarray(ts, dtype=float)
-        if cutoff <= self.ramp_start:
-            return np.zeros((ts.shape[0], self.dim))
         dr = ts - self.ramp_start
-        dc = ts - cutoff
+        dc = ts - self.t0
         factor = (dr ** (1.0 - alpha) - dc ** (1.0 - alpha)) / (1.0 - alpha)
         return np.outer(factor, self.slope)
 
@@ -338,13 +297,6 @@ class FloquetForm(HistoryFunction):
             out += p * cmath.exp(self._mu(k) * t)
         return out
 
-    def derivative(self, t: float) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        for k, p in self.coeffs.items():
-            mu = self._mu(k)
-            out += p * mu * cmath.exp(mu * t)
-        return out
-
     def norm_inf(self) -> float:
         env = math.exp(self.lam.real * self.t0)
         return env * float(sum(np.linalg.norm(p) for p in self.coeffs.values()))
@@ -358,17 +310,17 @@ class FloquetForm(HistoryFunction):
             )
         )
 
-    def tail_integral(self, ts, alpha, cutoff):
-        # harmonic k contributes p_k mu_k^alpha e^{mu_k cutoff} e^z Gamma(1 - alpha, z)
-        # with z = mu_k (t - cutoff): one (len(ts), K) array of z against the
+    def tail_integral(self, ts, alpha):
+        # harmonic k contributes p_k mu_k^alpha e^{mu_k t0} e^z Gamma(1 - alpha, z)
+        # with z = mu_k (t - t0): one (len(ts), K) array of z against the
         # (K, dim) coefficient matrix; a harmonic with mu_k = 0 is constant
         # and contributes nothing
         mu = self.lam + 1j * self.omega * np.fromiter(self.coeffs, dtype=float)
         p = np.array(list(self.coeffs.values()))
         live = mu != 0.0
         mu, p = mu[live], p[live]
-        z = (np.asarray(ts, dtype=float) - cutoff)[:, None] * mu[None, :]
-        weight = principal_power(mu, alpha) * np.exp(mu * cutoff)
+        z = (np.asarray(ts, dtype=float) - self.t0)[:, None] * mu[None, :]
+        weight = principal_power(mu, alpha) * np.exp(mu * self.t0)
         return (_upper_gamma_scaled(1.0 - alpha, z) * weight) @ p
 
 
@@ -453,15 +405,6 @@ class Sampled(HistoryFunction):
             [np.interp(t, self.grid, self.samples[:, i]) for i in range(self.dim)]
         )
 
-    def derivative(self, t: float) -> np.ndarray:
-        h = 1e-6 * max(1.0, abs(t))
-        hi = min(t + h, self.t0)
-        lo = hi - 2.0 * h
-        return (self.value(hi) - self.value(lo)) / (2.0 * h)
-
-    def kinks(self) -> tuple[float, ...]:
-        return tuple(self.grid[:-1])
-
     def norm_inf(self) -> float:
         sup = float(np.max(np.linalg.norm(self.samples, axis=1)))
         return max(sup, float(np.linalg.norm(self.tail_value)))
@@ -473,181 +416,36 @@ class Sampled(HistoryFunction):
             return 0.0
         return float(np.max(np.linalg.norm(slopes[mask], axis=1)))
 
-    def tail_cutoff(self) -> float:
-        return min(float(self.grid[0]), self.t0 - self.eta)
-
-    def tail_integral(self, ts, alpha, cutoff):
-        # piecewise-linear histories integrate exactly: each interval, cut
-        # off at the cutoff, contributes slope * [(t-lo)^(1-a) - (t-hi)^(1-a)]/(1-a);
-        # left of the grid the history is constant and contributes nothing
-        g = np.minimum(self.grid, cutoff)
+    def tail_integral(self, ts, alpha):
+        # piecewise-linear histories integrate exactly: each interval
+        # contributes slope * [(t-lo)^(1-a) - (t-hi)^(1-a)]/(1-a); left of
+        # the grid the history is constant and contributes nothing
+        g = self.grid
         ts = np.asarray(ts, dtype=float)[:, None]
-        slopes = np.diff(self.samples, axis=0) / np.diff(self.grid)[:, None]
+        slopes = np.diff(self.samples, axis=0) / np.diff(g)[:, None]
         lo = np.maximum(ts - g[:-1], 0.0)
         hi = np.maximum(ts - g[1:], 0.0)
         weights = lo ** (1.0 - alpha) - hi ** (1.0 - alpha)
         return (weights @ slopes) / (1.0 - alpha)
 
 
-def eval_history(h: HistoryFunction, t: float) -> np.ndarray:
-    if t > h.t0 + _T_TOL * max(1.0, abs(h.t0)):
-        raise DomainError(f"history is defined for t <= t0 = {h.t0}, got t = {t}")
-    return h.value(min(t, h.t0))
-
-
-def eval_history_derivative(h: HistoryFunction, t: float) -> np.ndarray:
-    if t > h.t0 + _T_TOL * max(1.0, abs(h.t0)):
-        raise DomainError(f"history is defined for t <= t0 = {h.t0}, got t = {t}")
-    for kink in h.kinks():
-        if t == kink:
-            raise DomainError(f"history derivative undefined at kink t = {kink}")
-    return h.derivative(min(t, h.t0))
-
-
-def _quad_c(f, a, b, complex_valued, **kw):
-    if not complex_valued:
-        val, err = quad(f, a, b, **kw)[:2]
-        return val, err
-    vr, er = quad(lambda x: f(x).real, a, b, **kw)[:2]
-    vi, ei = quad(lambda x: f(x).imag, a, b, **kw)[:2]
-    return complex(vr, vi), er + ei
-
-
 @dataclass(frozen=True)
 class ForcingEvaluator:
     """Numerical evaluator of the forcing term of the initial condition.
 
-    method: "auto" and "closed" take the history's analytic tail
-    integral up to t0; "quadrature" integrates the field near t0
-    adaptively and takes the analytic tail only below
-    ``history.tail_cutoff()``, so the two routes cross-check each other.
-    Both run through :func:`forcing_grid`; ``forcing(t)`` is a grid of
-    one time.
+    Evaluation runs through :func:`forcing_grid`, the history's analytic
+    tail integral up to t0; ``forcing(t)`` is a grid of one time.
     """
 
     history: HistoryFunction
     alpha: float
-    method: str = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.method not in ("auto", "closed", "quadrature"):
-            raise DomainError(f"unknown forcing method '{self.method}'")
 
     def forcing(self, t: float) -> np.ndarray:
         return forcing_grid(self, [t])[0]
-
-    def _forcing_quadrature(self, t: float) -> np.ndarray:
-        h = self.history
-        alpha = self.alpha
-        a_near = h.t0 - h.eta
-        cutoff = h.tail_cutoff()
-        tail = h.tail_integral(np.array([t]), alpha, cutoff)[0]
-        total = np.asarray(
-            self._near_integral(t, a_near, h.t0), dtype=complex if h.complex_valued else float
-        )
-        if cutoff < a_near - 1e-13:
-            total = total + self._by_parts_integral(t, cutoff, a_near)
-        total = total + tail
-        out = total * reciprocal_gamma(1.0 - alpha)
-        return out if h.complex_valued else np.asarray(out, dtype=float)
-
-    def _segments(self, a: float, b: float) -> list[tuple[float, float]]:
-        pts = sorted(k for k in self.history.kinks() if a < k < b)
-        edges = [a] + pts + [b]
-        return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-    def _near_integral(self, t: float, a: float, b: float) -> np.ndarray:
-        """integral_a^b (t - tau)^(-alpha) x0'(tau) dtau, b = t0."""
-        h = self.history
-        alpha = self.alpha
-        singular = t <= b + 1e-13 * max(1.0, abs(b))
-        out = []
-        err_total = 0.0
-        for i in range(h.dim):
-            acc = 0.0j if h.complex_valued else 0.0
-            for lo, hi in self._segments(a, b):
-                fd = lambda tau, i=i: h.derivative(tau)[i]
-                if singular and hi == b:
-                    val, err = _quad_c(
-                        fd,
-                        lo,
-                        hi,
-                        h.complex_valued,
-                        weight="alg",
-                        wvar=(0.0, -alpha),
-                        epsabs=_QUAD_TOL,
-                        epsrel=_QUAD_TOL,
-                        limit=_QUAD_LIMIT,
-                    )
-                else:
-                    fk = lambda tau, i=i: (t - tau) ** (-alpha) * h.derivative(tau)[i]
-                    val, err = _quad_c(
-                        fk,
-                        lo,
-                        hi,
-                        h.complex_valued,
-                        epsabs=_QUAD_TOL,
-                        epsrel=_QUAD_TOL,
-                        limit=_QUAD_LIMIT,
-                    )
-                acc += val
-                err_total += err
-            out.append(acc)
-        if err_total > 1e-6:
-            raise QuadratureError(
-                f"near-field quadrature error estimate {err_total:.2e} "
-                "exceeds the forcing tolerance"
-            )
-        return np.asarray(out)
-
-    def _by_parts_integral(self, t: float, a: float, b: float) -> np.ndarray:
-        """Same integral on [a, b] via integration by parts.
-
-        Only history values appear in the integrand, so the derivative
-        never needs to exist left of t0 - eta:
-        (t-b)^(-alpha) x0(b) - (t-a)^(-alpha) x0(a)
-        - alpha * integral_a^b (t - tau)^(-alpha-1) x0(tau) dtau.
-        Only a Sampled history starts its tail left of t0 - eta, so the
-        bulk integral is always its Gauss-panel sum.
-        """
-        h = self.history
-        alpha = self.alpha
-        boundary = (t - b) ** (-alpha) * h.value(b) - (t - a) ** (-alpha) * h.value(a)
-        return boundary - alpha * self._sampled_bulk(t, a, b)
-
-    def _sampled_bulk(self, t: float, a: float, b: float) -> np.ndarray:
-        """Vectorized Gauss panels for the piecewise-linear bulk integral."""
-        h = self.history
-        alpha = self.alpha
-        edges = np.unique(
-            np.concatenate(([a, b], h.grid[(h.grid > a) & (h.grid < b)]))
-        )
-        # refine panels so their width stays below the distance to t
-        panels = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            width = hi - lo
-            dist = t - hi
-            n_sub = max(1, int(math.ceil(width / max(0.7 * dist, 1e-3))))
-            sub = np.linspace(lo, hi, n_sub + 1)
-            panels.extend(zip(sub[:-1], sub[1:]))
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        lo = np.array([p[0] for p in panels])[:, None]
-        hi = np.array([p[1] for p in panels])[:, None]
-        tau = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes[None, :]
-        w = 0.5 * (hi - lo) * weights[None, :]
-        kernel = (t - tau) ** (-alpha - 1.0)
-        flat_tau = tau.ravel()
-        flat_w = (w * kernel).ravel()
-        vals = np.empty((flat_tau.shape[0], h.dim))
-        order = np.argsort(flat_tau)
-        for i in range(h.dim):
-            interp = np.interp(flat_tau[order], h.grid, h.samples[:, i])
-            left = flat_tau[order] <= h.grid[0]
-            interp[left] = h.tail_value[i]
-            vals[order, i] = interp
-        return flat_w @ vals
 
 
 def forcing_grid(fe: ForcingEvaluator, ts) -> np.ndarray:
@@ -656,11 +454,9 @@ def forcing_grid(fe: ForcingEvaluator, ts) -> np.ndarray:
     This is the only forcing path.  Times a rounding error left of t0
     are clamped onto it, and in the classical limit alpha = 1 the
     forcing vanishes.  Otherwise the grid is taken in chunks of at most
-    _CHUNK times.  On "auto" and "closed" each chunk is one call of the
-    history's analytic tail integral up to t0, divided by
-    Gamma(1 - alpha); on "quadrature" every time is integrated on its
-    own.  A kind with no analytic tail integral is a DomainError on
-    every route.
+    _CHUNK times, each one call of the history's analytic tail integral
+    up to t0, divided by Gamma(1 - alpha).  A kind with no analytic tail
+    integral is a DomainError.
     """
     h = fe.history
     ts = np.asarray(ts, dtype=float)
@@ -673,10 +469,7 @@ def forcing_grid(fe: ForcingEvaluator, ts) -> np.ndarray:
         return out
     for lo in range(0, ts.shape[0], _CHUNK):
         chunk = ts[lo : lo + _CHUNK]
-        if fe.method == "quadrature":
-            vals = [fe._forcing_quadrature(t) for t in chunk]
-        else:
-            vals = h.tail_integral(chunk, fe.alpha, h.t0) * reciprocal_gamma(1.0 - fe.alpha)
+        vals = h.tail_integral(chunk, fe.alpha) * reciprocal_gamma(1.0 - fe.alpha)
         out[lo : lo + chunk.shape[0]] = vals
     return out
 

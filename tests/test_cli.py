@@ -67,6 +67,15 @@ class TestMl:
         expected = mittag_leffler(0.7, 2.0, 0.3 + 0.4j)
         assert complex(float(re_s), float(im_s)) == expected
 
+    def test_dash_leading_complex_argument(self, capsys):
+        # a value starting with a dash is the flag's value, not an option
+        assert run(["ml", "--alpha", "0.5", "--z", "-0.5+0.25i"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert run(["ml", "--alpha", "0.5", "--z=-0.5+0.25i"]) == 0
+        assert capsys.readouterr().out.strip() == out
+        re_s, im_s = out.split(",")
+        expected = mittag_leffler(0.5, 1.0, -0.5 + 0.25j)
+        assert complex(float(re_s), float(im_s)) == expected
 
     def test_overflow_prints_inf(self, capsys):
         # E_{0.3,1}(10) = exp(10^(10/3)) / 0.3 is beyond double precision
@@ -122,6 +131,10 @@ BAD_INPUTS = {
         ["eig", "--system", "{sys}", "--N", "4", "--tol", "-1", "--out", "{out}"],
         1,
     ),
+    "eig-negative-exponent-tol": (
+        ["eig", "--system", "{sys}", "--N", "4", "--tol", "-1e-9", "--out", "{out}"],
+        1,
+    ),
     "eig-inf-tol": (
         ["eig", "--system", "{sys}", "--N", "4", "--tol", "inf", "--out", "{out}"],
         1,
@@ -151,6 +164,11 @@ BAD_INPUTS = {
          "--t-end", "inf", "--dt", "0.1", "--out", "{out}"],
         1,
     ),
+    "simulate-negative-inf-t-end": (
+        ["simulate", "--system", "{sys}", "--history", "{hist}",
+         "--t-end", "-inf", "--dt", "0.1", "--out", "{out}"],
+        1,
+    ),
     "floquet-inf-t-end": (
         ["floquet", "--system", "{sys}", "--N", "4", "--t-end", "inf",
          "--dt", "0.1", "--out", "{out}"],
@@ -163,6 +181,11 @@ BAD_INPUTS = {
     "ml-nan-z": (["ml", "--alpha", "0.5", "--z", "nan"], 1),
     "threads": (["ml", "--alpha", "0.5", "--z", "1.0", "--threads", "4"], 2),
     "seed": (["ml", "--alpha", "0.5", "--z", "1.0", "--seed", "1"], 2),
+    "forcing-method": (
+        ["forcing", "--history", "{hist}", "--alpha", "0.5", "--grid", "0:1:3",
+         "--method", "closed", "--out", "{out}"],
+        2,
+    ),
 }
 
 

@@ -24,8 +24,6 @@ from frachill.history import (
     PiecewiseConstantRamp,
     Sampled,
     TruncatedSinusoid,
-    eval_history,
-    eval_history_derivative,
     forcing_bound_constant,
     forcing_grid,
     parse_history,
@@ -71,9 +69,6 @@ class _NoClosedForm(HistoryFunction):
     def value(self, t):
         return np.ones(1)
 
-    def derivative(self, t):
-        return np.zeros(1)
-
 
 def sampled_sine(n=60, left=-8.0, dim=1):
     g = np.linspace(left, 0.0, n)
@@ -86,51 +81,34 @@ def sampled_sine(n=60, left=-8.0, dim=1):
 class TestHistoryEvaluation:
     def test_constant(self):
         h = Constant(values=[1.0])
-        np.testing.assert_allclose(eval_history(h, -7.0), [1.0])
-        np.testing.assert_allclose(eval_history_derivative(h, -3.0), [0.0])
+        np.testing.assert_allclose(h.value(-7.0), [1.0])
+        assert h.sup_derivative() == 0.0
 
     def test_exp_growth(self):
         h = ExpGrowth(rate=1.0, coefficient=[1.0])
-        np.testing.assert_allclose(eval_history(h, -1.0), [math.exp(-1.0)])
-        np.testing.assert_allclose(
-            eval_history_derivative(h, -1.0), [math.exp(-1.0)]
-        )
+        np.testing.assert_allclose(h.value(-1.0), [math.exp(-1.0)])
 
     def test_floquet_value(self):
         h = FloquetForm(lam=0.2, omega=1.0, coeffs={0: [1.0], 1: [0.5]})
-        np.testing.assert_allclose(eval_history(h, 0.0), [1.5], atol=1e-15)
+        np.testing.assert_allclose(h.value(0.0), [1.5], atol=1e-15)
 
     def test_ramp_derivative(self):
         h = PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0)
-        np.testing.assert_allclose(eval_history_derivative(h, -0.5), [-1.0])
-        np.testing.assert_allclose(eval_history(h, -0.25), [0.25])
-        np.testing.assert_allclose(eval_history(h, -3.0), [1.0])
+        np.testing.assert_allclose(h.slope, [-1.0])
+        np.testing.assert_allclose(h.value(-0.25), [0.25])
+        np.testing.assert_allclose(h.value(-3.0), [1.0])
 
     def test_sinusoid_derivative(self):
-        h = TruncatedSinusoid(amplitude=[1.0])
-        np.testing.assert_allclose(eval_history_derivative(h, 0.0), [1.0])
-
-    def test_domain_checks(self):
-        h = Constant(values=[1.0], t0=2.0)
-        with pytest.raises(DomainError):
-            eval_history(h, 2.5)
-        with pytest.raises(DomainError):
-            eval_history_derivative(h, 2.5)
-
-    def test_kink_error(self):
-        h = PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0)
-        with pytest.raises(DomainError):
-            eval_history_derivative(h, -1.0)
+        # sup |x0'| over [t0 - eta, t0] is amplitude * frequency
+        h = TruncatedSinusoid(amplitude=[2.0], frequency=3.0)
+        assert h.sup_derivative() == pytest.approx(6.0, rel=1e-15)
 
     def test_sampled_interpolation(self):
         h = sampled_sine(n=400)
         for t in (-5.3, -0.2, -9.5):
             np.testing.assert_allclose(
-                eval_history(h, t), [math.sin(max(t, -8.0))], atol=1e-4
+                h.value(t), [math.sin(max(t, -8.0))], atol=1e-4
             )
-        np.testing.assert_allclose(
-            eval_history_derivative(h, -2.0), [math.cos(-2.0)], atol=1e-2
-        )
 
 
 class TestRejections:
@@ -227,111 +205,106 @@ class TestClosedForms:
         np.testing.assert_allclose(fe.forcing(2.0), [0.0])
 
 
+def interpolant_forcing(h, alpha, t):
+    """Brute-force quad of the forcing of a scalar sampled history."""
+    slopes = np.diff(h.samples[:, 0]) / np.diff(h.grid)
+    val = 0.0
+    for lo, hi, s in zip(h.grid[:-1], h.grid[1:], slopes):
+        if t == hi:
+            # (t - tau)^(-alpha) as the algebraic weight at hi
+            part, _ = quad(lambda tau: s, lo, hi, weight="alg", wvar=(0.0, -alpha))
+        else:
+            part, _ = quad(lambda tau: (t - tau) ** -alpha * s, lo, hi)
+        val += part
+    return val / gamma(1.0 - alpha)
+
+
 class TestQuadratureRoute:
-    """Closed form against the split-quadrature path (independent routes)."""
+    """The forcing against references it shares no code with: quadrature
+    of the interpolant, and the closed forms written out in mpmath."""
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_exp_growth_agreement(self, alpha):
-        h = ExpGrowth(rate=1.0, coefficient=[1.0])
-        closed = ForcingEvaluator(h, alpha, method="closed")
-        quadr = ForcingEvaluator(h, alpha, method="quadrature")
-        for t in np.linspace(0.0, 20.0, 21):
-            np.testing.assert_allclose(
-                quadr.forcing(t), closed.forcing(t), atol=1e-7
-            )
+        # F(t) = e^t Gamma(1 - alpha, t) / Gamma(1 - alpha) for rate 1, t0 = 0
+        fe = ForcingEvaluator(ExpGrowth(rate=1.0, coefficient=[1.0]), alpha)
+        ts = np.linspace(0.0, 20.0, 21)
+        got = forcing_grid(fe, ts)[:, 0]
+        with mp.workdps(30):
+            a = 1 - mp.mpf(alpha)
+            for g, t in zip(got, ts):
+                x = mp.mpf(t)
+                ref = mp.exp(x) * mp.gammainc(a, x) / mp.gamma(a)
+                assert abs(g - ref) <= 1e-12, t
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_ramp_agreement(self, alpha):
-        h = PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0)
-        closed = ForcingEvaluator(h, alpha, method="closed")
-        quadr = ForcingEvaluator(h, alpha, method="quadrature")
-        for t in np.linspace(0.0, 20.0, 21):
-            np.testing.assert_allclose(
-                quadr.forcing(t), closed.forcing(t), atol=1e-7
-            )
+        # slope -1 on [-1, 0]: F(t) = (t^(1-a) - (t+1)^(1-a)) / Gamma(2-a)
+        fe = ForcingEvaluator(
+            PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0), alpha
+        )
+        ts = np.linspace(0.0, 20.0, 21)
+        expect = (ts ** (1.0 - alpha) - (ts + 1.0) ** (1.0 - alpha)) / math.gamma(
+            2.0 - alpha
+        )
+        np.testing.assert_allclose(forcing_grid(fe, ts)[:, 0], expect, rtol=0, atol=1e-12)
 
     def test_floquet_agreement(self):
+        # sum_k p_k mu_k^alpha e^{mu_k t} Gamma(1 - alpha, mu_k t) / Gamma(1 - alpha)
         h = FloquetForm(lam=0.2 + 0.3j, omega=1.0, coeffs={0: [1.0], 1: [0.5]})
-        closed = ForcingEvaluator(h, 0.5, method="closed")
-        quadr = ForcingEvaluator(h, 0.5, method="quadrature")
-        for t in (0.0, 0.7, 3.0):
-            np.testing.assert_allclose(
-                quadr.forcing(t), closed.forcing(t), atol=1e-8
-            )
+        fe = ForcingEvaluator(h, 0.5)
+        ts = np.array([0.0, 0.7, 3.0])
+        got = forcing_grid(fe, ts)[:, 0]
+        with mp.workdps(30):
+            alpha = mp.mpf(0.5)
+            a = 1 - alpha
+            for g, t in zip(got, ts):
+                ref = 0
+                for k, (p,) in h.coeffs.items():
+                    mu = mp.mpc(0.2, 0.3 + k)
+                    z = mu * mp.mpf(t)
+                    ref += mp.mpc(complex(p)) * mu ** alpha * mp.exp(z) * mp.gammainc(a, z)
+                ref /= mp.gamma(a)
+                assert abs(mp.mpc(complex(g)) - ref) <= 1e-12, t
 
     def test_sampled_agreement(self):
         h = sampled_sine(n=60)
-        closed = ForcingEvaluator(h, 0.5)
-        quadr = ForcingEvaluator(h, 0.5, method="quadrature")
+        fe = ForcingEvaluator(h, 0.5)
         for t in (0.0, 1.0, 5.0):
             np.testing.assert_allclose(
-                quadr.forcing(t), closed.forcing(t), atol=1e-7
+                fe.forcing(t), [interpolant_forcing(h, 0.5, t)], atol=1e-9
             )
 
     def test_sampled_against_brute_force(self):
         # independent oracle: adaptive quadrature of the interpolant
         h = sampled_sine(n=40)
         fe = ForcingEvaluator(h, 0.5)
-        t = 1.0
-        val = 0.0
-        slopes = np.diff(h.samples[:, 0]) / np.diff(h.grid)
-        for (lo, hi), s in zip(zip(h.grid[:-1], h.grid[1:]), slopes):
-            part, _ = quad(lambda tau: (t - tau) ** -0.5 * s, lo, hi)
-            val += part
-        val /= gamma(0.5)
-        np.testing.assert_allclose(fe.forcing(t), [val], atol=1e-9)
+        np.testing.assert_allclose(
+            fe.forcing(1.0), [interpolant_forcing(h, 0.5, 1.0)], atol=1e-9
+        )
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
-    def test_sinusoid_agreement(self, alpha, monkeypatch):
-        h = TruncatedSinusoid(amplitude=[2.0], phase=0.7, frequency=3.0, t0=-0.5)
-        closed = ForcingEvaluator(h, alpha, method="closed")
-        quadr = ForcingEvaluator(h, alpha, method="quadrature")
+    def test_sinusoid_agreement(self, alpha):
+        # x0' = A om cos(om tau + phi), so with d = t - t0
+        # F(t) = Re[A om e^{i(om t + phi)} (i om)^(alpha-1) Gamma(1-alpha, i om d)] / Gamma(1-alpha)
+        amp, phase, om, t0 = 2.0, 0.7, 3.0, -0.5
+        h = TruncatedSinusoid(amplitude=[amp], phase=phase, frequency=om, t0=t0)
+        fe = ForcingEvaluator(h, alpha)
         ts = np.linspace(-0.5, 10.0, 8)
-        expect = forcing_grid(closed, ts)
-        for t, ref in zip(ts, expect):
-            np.testing.assert_allclose(closed.forcing(t), ref, atol=1e-12)
-        # the quadrature route must really integrate, also on a grid
-        calls = []
-        integrate = ForcingEvaluator._forcing_quadrature
-        monkeypatch.setattr(
-            ForcingEvaluator,
-            "_forcing_quadrature",
-            lambda fe, t: calls.append(t) or integrate(fe, t),
-        )
-        np.testing.assert_allclose(forcing_grid(quadr, ts), expect, atol=1e-7)
-        assert len(calls) == len(ts)
+        grid = forcing_grid(fe, ts)
+        for t, ref in zip(ts, grid):
+            np.testing.assert_allclose(fe.forcing(t), ref, atol=1e-12)
+        with mp.workdps(30):
+            a = 1 - mp.mpf(alpha)
+            iom = mp.mpc(0, om)
+            for g, t in zip(grid[:, 0], ts):
+                rot = mp.exp(iom * mp.mpf(t) + mp.mpc(0, phase)) * iom ** (-a)
+                ref = amp * om * rot * mp.gammainc(a, iom * (mp.mpf(t) - t0))
+                assert abs(g - ref.real / mp.gamma(a)) <= 1e-10, t
 
-    @pytest.mark.parametrize("method", ["auto", "closed", "quadrature"])
-    def test_no_closed_form_error(self, method):
-        fe = ForcingEvaluator(_NoClosedForm(), 0.5, method=method)
+    def test_no_closed_form_error(self):
+        fe = ForcingEvaluator(_NoClosedForm(), 0.5)
         with pytest.raises(DomainError, match="no analytic tail integral"):
             fe.forcing(1.0)
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.7])
-    def test_sampled_tail_integral_at_a_mid_cutoff(self, alpha):
-        # cut off inside the grid, the analytic tail is the integral of
-        # the interpolant's slopes from the grid's start to the cutoff
-        h = sampled_sine(n=25)
-        cutoff, ts = -3.3, np.array([-3.3, -1.0, 0.0, 4.0])
-        slopes = np.diff(h.samples[:, 0]) / np.diff(h.grid)
-        expect = []
-        for t in ts:
-            val = 0.0
-            for lo, hi, s in zip(h.grid[:-1], h.grid[1:], slopes):
-                if lo >= cutoff:
-                    continue
-                hi = min(hi, cutoff)
-                if t == hi:
-                    # (t - tau)^(-alpha) as the algebraic weight at hi
-                    part, _ = quad(lambda tau: s, lo, hi, weight="alg", wvar=(0.0, -alpha))
-                else:
-                    part, _ = quad(lambda tau: (t - tau) ** -alpha * s, lo, hi)
-                val += part
-            expect.append(val)
-        got = h.tail_integral(ts, alpha, cutoff)
-        np.testing.assert_allclose(got[:, 0], expect, rtol=1e-10, atol=1e-12)
-        # at or below the grid's start the tail is constant and adds nothing
-        assert not h.tail_integral(ts, alpha, h.grid[0]).any()
 
 
 # one history of each kind, all of dimension 2
@@ -348,10 +321,9 @@ TWO_DIM_KINDS = {
 
 
 class TestForcingGrid:
-    @pytest.mark.parametrize("method", ["auto", "quadrature"])
     @pytest.mark.parametrize("kind", sorted(TWO_DIM_KINDS))
-    def test_shapes(self, kind, method):
-        fe = ForcingEvaluator(TWO_DIM_KINDS[kind], 0.5, method=method)
+    def test_shapes(self, kind):
+        fe = ForcingEvaluator(TWO_DIM_KINDS[kind], 0.5)
         assert forcing_grid(fe, []).shape == (0, 2)
         assert forcing_grid(fe, np.array([1.5])).shape == (1, 2)
         assert fe.forcing(1.5).shape == (2,)
@@ -549,10 +521,6 @@ class TestEvaluatorConfig:
             ForcingEvaluator(Constant(values=[1.0]), 0.0)
         with pytest.raises(DomainError):
             ForcingEvaluator(Constant(values=[1.0]), 1.2)
-
-    def test_method_validation(self):
-        with pytest.raises(DomainError):
-            ForcingEvaluator(Constant(values=[1.0]), 0.5, method="magic")
 
     def test_pre_t0_rejected(self):
         fe = ForcingEvaluator(Constant(values=[1.0]), 0.5)

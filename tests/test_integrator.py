@@ -347,24 +347,6 @@ class TestSolveLiouvilleWeyl:
                 lambda t, x: -x, Constant(values=[1.0]), 1.0, 0.1
             )
 
-    def test_forcing_route_agreement(self):
-        # closed-form forcing against the adaptive quadrature route, run
-        # through the full marcher
-        h = ExpGrowth(rate=1.0, coefficient=[1.0])
-        tr_c = solve_liouville_weyl(lambda t, x: -x, h, 5.0, 0.01, alpha=0.5)
-        tr_q = solve_caputo(
-            IvpProblem(
-                order=0.5,
-                rhs=lambda t, x: -x,
-                initial=h.value(0.0),
-                t0=0.0,
-                t_end=5.0,
-                dt=0.01,
-                forcing=ForcingEvaluator(h, 0.5, method="quadrature"),
-            )
-        )
-        assert np.max(np.abs(tr_c.values - tr_q.values)) < 1e-7
-
 
 class TestVocSolutionScalar:
     def test_t_zero_returns_initial(self):
