@@ -28,6 +28,7 @@ from frachill.history import (
     forcing_grid,
     parse_history,
 )
+from frachill.integrator import voc_solution_scalar
 from frachill.specfun import gamma, mittag_leffler, upper_incomplete_gamma
 
 # forcing of sin(t) history (t0 = 0), computed once with an oscillatory
@@ -301,10 +302,19 @@ class TestQuadratureRoute:
                 ref = amp * om * rot * mp.gammainc(a, iom * (mp.mpf(t) - t0))
                 assert abs(g - ref.real / mp.gamma(a)) <= 1e-10, t
 
-    def test_no_closed_form_error(self):
+    # every caller of the forcing refuses a kind with no tail integral:
+    # "auto" the pointwise forcing, "closed" the closed-form grid and
+    # "quadrature" the variation-of-constants quadrature over the forcing
+    @pytest.mark.parametrize("caller", ["auto", "closed", "quadrature"])
+    def test_no_closed_form_error(self, caller):
         fe = ForcingEvaluator(_NoClosedForm(), 0.5)
+        call = {
+            "auto": lambda: fe.forcing(1.0),
+            "closed": lambda: forcing_grid(fe, np.array([0.0, 1.0])),
+            "quadrature": lambda: voc_solution_scalar(-1.0, 0.5, fe.history, 1.0),
+        }[caller]
         with pytest.raises(DomainError, match="no analytic tail integral"):
-            fe.forcing(1.0)
+            call()
 
 
 # one history of each kind, all of dimension 2
@@ -320,13 +330,57 @@ TWO_DIM_KINDS = {
 }
 
 
+def by_parts_forcing(h, alpha, t):
+    """F x0(t) by adaptive quad of the history's values alone.
+
+    Integrating by parts against u = x0 - x0(t0), which vanishes at t0,
+    F x0(t) = integral_0^inf (t - t0 + s)^(-alpha-1) u(t0 - s) ds / Gamma(-alpha).
+    A sinusoid's tail goes to QAWF as cos/sin-weighted integrals.
+    """
+    d = t - h.t0
+    x_t0 = h.value(h.t0)
+    kernel = lambda s: (d + s) ** (-alpha - 1.0)
+    const = d ** -alpha / alpha  # integral of the kernel over [0, inf)
+    out = np.zeros(h.dim, dtype=complex)
+    if isinstance(h, TruncatedSinusoid):
+        # u(t0 - s) = A [sin(th) cos(om s) - cos(th) sin(om s)] - A sin(th)
+        th = h.frequency * h.t0 + h.phase
+        ic, _ = quad(kernel, 0.0, np.inf, weight="cos", wvar=h.frequency)
+        isn, _ = quad(kernel, 0.0, np.inf, weight="sin", wvar=h.frequency)
+        out += h.amplitude * (math.sin(th) * (ic - const) - math.cos(th) * isn)
+        return out / gamma(-alpha)
+    # the history's kinks: the ramp start, or the sample grid
+    kinks = [h.t0 - h.ramp_start] if isinstance(h, PiecewiseConstantRamp) else []
+    if isinstance(h, Sampled):
+        kinks = list(h.t0 - h.grid[:-1])
+    far = max(kinks, default=0.0)
+    inner = [k for k in kinks if 0.0 < k < far] or None
+    for i in range(h.dim):
+        for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+            f = lambda s: kernel(s) * part(h.value(h.t0 - s)[i] - x_t0[i])
+            near = quad(f, 0.0, far, points=inner, limit=200)[0] if far else 0.0
+            tail = quad(f, far, np.inf, limit=200)[0]
+            out[i] += unit * (near + tail)
+    return out / gamma(-alpha)
+
+
 class TestForcingGrid:
+    # the grid's value checked against "auto", the evaluator's own
+    # pointwise forcing, and against "quadrature", the by-parts quad above
+    @pytest.mark.parametrize("reference", ["auto", "quadrature"])
     @pytest.mark.parametrize("kind", sorted(TWO_DIM_KINDS))
-    def test_shapes(self, kind):
-        fe = ForcingEvaluator(TWO_DIM_KINDS[kind], 0.5)
+    def test_shapes(self, kind, reference):
+        h = TWO_DIM_KINDS[kind]
+        fe = ForcingEvaluator(h, 0.5)
         assert forcing_grid(fe, []).shape == (0, 2)
-        assert forcing_grid(fe, np.array([1.5])).shape == (1, 2)
+        grid = forcing_grid(fe, np.array([1.5]))
+        assert grid.shape == (1, 2)
         assert fe.forcing(1.5).shape == (2,)
+        if reference == "auto":
+            np.testing.assert_allclose(grid[0], fe.forcing(1.5), rtol=0, atol=1e-15)
+        else:
+            expect = by_parts_forcing(h, 0.5, 1.5)
+            np.testing.assert_allclose(grid[0], expect, rtol=0, atol=1e-10)
 
     def test_chunk_boundaries(self):
         # a grid longer than two chunks matches its points evaluated alone
