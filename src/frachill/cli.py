@@ -71,8 +71,10 @@ def _fmt(x: float) -> str:
 
 
 def _parse_complex(text: str) -> complex:
+    # only a trailing i or I is the imaginary suffix; "inf" keeps its i
+    spelled = text[:-1] + "j" if text[-1:] in ("i", "I") else text
     try:
-        return complex(text.replace("i", "j").replace("I", "j"))
+        return complex(spelled)
     except ValueError:
         raise SchemaError(f"cannot parse complex number {text!r}") from None
 

@@ -40,7 +40,7 @@ class PoleError(NumericalError, ValueError):
 
 
 class AccuracyError(NumericalError):
-    """No evaluation regime converged to the requested tolerance."""
+    """An iterative evaluation did not converge to the requested tolerance."""
 
 
 class NotDiagonalizableError(NumericalError):

@@ -339,13 +339,10 @@ def _ml_neg_kernel(alpha: float, x: np.ndarray) -> np.ndarray:
 
 
 def _history_time_scale(history: HistoryFunction) -> float:
-    from .history import FloquetForm, TruncatedSinusoid
+    from .history import TruncatedSinusoid
 
     if isinstance(history, TruncatedSinusoid):
         return history.frequency
-    if isinstance(history, FloquetForm):
-        kmax = max(abs(k) for k in history.coeffs.keys())
-        return abs(history.lam) + kmax * history.omega
     return 1.0
 
 
@@ -368,6 +365,8 @@ def voc_solution_scalar(
         raise DomainError("voc_solution_scalar requires alpha in (0, 1)")
     if history.dim != 1:
         raise DomainError("voc_solution_scalar requires a scalar history")
+    if history.complex_valued:
+        raise DomainError("voc_solution_scalar requires a real-valued history")
     if abs(history.t0) > 1e-12:
         raise DomainError("voc_solution_scalar assumes t0 = 0")
     if t < 0.0:

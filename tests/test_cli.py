@@ -179,6 +179,8 @@ BAD_INPUTS = {
         1,
     ),
     "ml-nan-z": (["ml", "--alpha", "0.5", "--z", "nan"], 1),
+    "ml-inf-z": (["ml", "--alpha", "0.5", "--z", "inf"], 1),
+    "ml-inf-imag-z": (["ml", "--alpha", "0.5", "--z", "1+infi"], 1),
     "threads": (["ml", "--alpha", "0.5", "--z", "1.0", "--threads", "4"], 2),
     "seed": (["ml", "--alpha", "0.5", "--z", "1.0", "--seed", "1"], 2),
     "forcing-method": (

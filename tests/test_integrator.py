@@ -377,6 +377,13 @@ class TestVocSolutionScalar:
                 -1.0, 0.5, Constant(values=[1.0], t0=3.0), 1.0
             )
 
+    def test_complex_history_rejected(self):
+        # the formula is real; dropping the imaginary part of the history
+        # would answer a different problem
+        h = FloquetForm(lam=0.1, omega=1.0, coeffs={1: [1.0]})
+        with pytest.raises(DomainError):
+            voc_solution_scalar(-1.0, 0.5, h, 1.0)
+
     def test_agrees_with_stepping(self):
         # quadrature of the variation-of-constants formula against the
         # marcher, two fully independent routes

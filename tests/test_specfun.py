@@ -17,6 +17,7 @@ from scipy.special import wofz
 
 from frachill.errors import DomainError, NotDiagonalizableError, PoleError
 from frachill.specfun import (
+    _ML_NODES,
     _upper_gamma_scaled,
     gamma,
     ml_matrix,
@@ -156,7 +157,8 @@ def test_ml_reduces_to_exp():
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
-# frozen extended-precision series oracle, one point per evaluation regime
+# frozen extended-precision series oracle: |z| from 1.5 to 30, alpha from
+# 0.3 to 1, inside and outside the sector |arg z| < alpha pi
 ML_ORACLE = {
     (0.5, 1.0, -3.0 + 0.0j): 0.17900115118138995 + 0.0j,
     (0.3, 1.0, 3.0j): 0.051918367383206693 + 0.25171686755542566j,
@@ -214,10 +216,46 @@ def _ml_close(got, ref):
     return abs(mp.mpc(got) - ref) <= 1e-9 * max(1, abs(ref))
 
 
+def _mp_ml_oracle(alpha, beta, z):
+    """E_{alpha,beta}(z) in extended precision at any |z| <= 1e6: the
+    series while |z|^(1/alpha) <= 150, else the large-|z| expansion
+
+        [z^((1-beta)/alpha) exp(z^(1/alpha)) / alpha if |arg z| < alpha pi]
+        - sum_{k>=1} z^-k / Gamma(beta - alpha k),
+
+    whose truncation error is then far below double precision.  The sum
+    stops once |1/Gamma(x)| <= Gamma(1-x) / pi, x = beta - alpha k < 0,
+    bounds the next term below 1e-35 of the total."""
+    if abs(z) ** (1.0 / alpha) <= 150.0:
+        return _mp_ml(alpha, beta, complex(z))
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    with mp.workdps(40):
+        zz = mp.mpc(z.real, z.imag)
+        total = mp.mpc(0)
+        if abs(mp.arg(zz)) < a * mp.pi:
+            root = zz ** (1 / a)
+            total += root ** (1 - b) * mp.exp(root) / a
+        k = 0
+        while True:
+            k += 1
+            total -= zz ** (-k) * mp.rgamma(b - a * k)
+            bound = mp.gamma(1 - b + a * (k + 1)) / mp.pi / abs(zz) ** (k + 1)
+            if a * k > b and bound <= mp.mpf(10) ** -35 * max(1, abs(total)):
+                return total
+
+
+def _ml_error(got, ref):
+    """Absolute error where |E| <= 1, relative above; an inf result is
+    exact when the true value is beyond double precision."""
+    if abs(ref) > np.finfo(float).max:
+        return 0.0 if got == complex(math.inf, 0.0) else math.inf
+    return float(abs(mp.mpc(got) - ref) / max(1, abs(ref)))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9])
 def test_ml_against_mpmath_series(alpha):
-    # every regime up to |z| = 11: series, branch-cut integral (also on the
-    # sector boundary |arg z| = alpha pi) and asymptotic expansion
+    # out to |z| = 11, inside and outside the sector |arg z| < alpha pi and
+    # on its boundary
     for beta in (0.6, 1.0, 2.5):
         for r in (3.0, 7.0, 11.0):
             for theta in (0.0, 1.0, alpha * math.pi, -alpha * math.pi, math.pi):
@@ -244,8 +282,7 @@ def test_ml_small_alpha_against_mpmath_series():
 
 def test_ml_half_alpha_against_mpmath_erfc():
     # E_{1/2,1}(z) = exp(z^2) erfc(-z), out to |z| = 11 and across the
-    # sector boundary arg z = pi/2, where at |z| = 4 a quadrature node used
-    # to land exactly on the pole chi = 16
+    # sector boundary arg z = pi/2
     for r in (0.5, 3.0, 4.0, 6.0, 11.0):
         for theta in (0.0, 0.9, math.pi / 2, -math.pi / 2, 2.5, math.pi):
             z = r * cmath.exp(1j * theta)
@@ -255,12 +292,25 @@ def test_ml_half_alpha_against_mpmath_erfc():
             assert _ml_close(mittag_leffler(0.5, 1.0, z), ref), z
 
 
-@pytest.mark.parametrize("z", [8.0, 10.0, 11.9, 13.0])
-def test_ml_overflow_returns_inf(z):
+@pytest.mark.parametrize(
+    "alpha,beta,z",
+    [pytest.param(0.3, 1.0, z, id=str(z)) for z in (8.0, 10.0, 11.9, 13.0)]
+    + [(0.5, 0.1, 26.6), (0.7, 0.2, 100.0 + 1.0j), (1.0, 0.05, 708.5)],
+)
+def test_ml_overflow_returns_inf(alpha, beta, z):
     # E_{0.3,1}(z) ~ exp(z^(10/3)) / 0.3 is beyond double precision from
-    # z ~ 7.2; the integral (|z| < 12) and asymptotic branches both report it
-    # as inf, like the alpha = 1 exponential
-    assert mittag_leffler(0.3, 1.0, z) == complex(math.inf, 0.0)
+    # z ~ 7.2; every overflowing value is reported as inf with a zero
+    # imaginary part, like the alpha = 1 exponential
+    assert mittag_leffler(alpha, beta, z) == complex(math.inf, 0.0)
+
+
+def test_ml_near_overflow_stays_finite():
+    # E_{1,2}(z) = (e^z - 1) / z: the pole term e^z overflows on its own,
+    # but the value 2.33e305 is representable
+    want = (mp.exp(mp.mpf(709.7)) - 1) / mp.mpf(709.7)
+    got = mittag_leffler(1.0, 2.0, 709.7)
+    assert got.imag == 0.0
+    assert abs(mp.mpf(got.real) / want - 1) <= 1e-12
 
 
 def test_ml_conjugate_symmetry():
@@ -296,6 +346,67 @@ def test_ml_decreasing_on_negative_axis():
         vals = [mittag_leffler(alpha, alpha, -t).real for t in ts]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(v > 0.0 for v in vals)
+
+
+def test_ml_sweep_against_mpmath():
+    # seeded points over the whole domain: alpha in [0.1, 1] with 0.5 and 1
+    # itself, beta in (0, 5], |z| from 1e-8 to 1e6, arg z random or on the
+    # real axes and the sector boundary |arg z| = alpha pi
+    rng = np.random.default_rng(41)
+    for i in range(99):
+        alpha = (0.5, 1.0, rng.uniform(0.1, 1.0))[i % 3]
+        beta = 5.0 - rng.uniform(0.0, 5.0)
+        r = 10.0 ** rng.uniform(-8.0, 6.0)
+        theta = rng.choice(
+            [rng.uniform(-math.pi, math.pi), 0.0, alpha * math.pi,
+             -alpha * math.pi, math.pi]
+        )
+        z = r * cmath.exp(1j * theta)
+        got = mittag_leffler(alpha, beta, z)
+        err = _ml_error(got, _mp_ml_oracle(alpha, beta, z))
+        assert err <= 1e-10, (alpha, beta, z, got, err)
+
+
+def test_ml_alpha_one_against_hypergeometric():
+    # E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta), inside |z| < 12
+    rng = np.random.default_rng(43)
+    for beta in (0.05, 0.5, 1.7, 2.5, 4.2):
+        for _ in range(6):
+            z = 12.0 * math.sqrt(rng.uniform()) * cmath.exp(
+                1j * rng.uniform(-math.pi, math.pi)
+            )
+            with mp.workdps(30):
+                zz = mp.mpc(z.real, z.imag)
+                ref = mp.hyp1f1(1, beta, zz) * mp.rgamma(beta)
+            got = mittag_leffler(1.0, beta, z)
+            assert _ml_error(got, ref) <= 1e-10, (beta, z, got)
+
+
+@pytest.mark.parametrize("node_set", [0, 1])
+def test_ml_pole_on_and_next_to_quadrature_nodes(node_set):
+    # the pole z^(1/alpha) placed on a node of either interlaced set, and
+    # 1e-9 away from it, where the subtracted residue cancels the most
+    nodes = _ML_NODES[node_set][0]
+    for k in (0, 4, 10, -3):
+        for alpha, beta in ((0.5, 1.0), (0.8, 2.5), (1.0, 0.5)):
+            for shift in (0.0, 1e-9, 1e-9j):
+                pole = complex(nodes[k]) + shift
+                z = cmath.exp(alpha * cmath.log(pole))
+                got = mittag_leffler(alpha, beta, z)
+                err = _ml_error(got, _mp_ml_oracle(alpha, beta, z))
+                assert err <= 1e-10, (alpha, beta, pole, got, err)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_ml_negative_axis_relative_accuracy(alpha):
+    # the variation-of-constants kernel E_{alpha,alpha}(-x) decays like
+    # x^-2, so it needs relative, not absolute, accuracy; from x = 100 on
+    # the leading algebraic terms are exact and it keeps 1e-12
+    for x in np.logspace(-3.0, 5.0, 41):
+        ref = _mp_ml_oracle(alpha, alpha, complex(-x))
+        got = mittag_leffler(alpha, alpha, -x)
+        err = float(abs(mp.mpc(got) - ref) / abs(ref))
+        assert err <= (1e-12 if x >= 100.0 else 1e-9), (x, got, err)
 
 
 def test_ml_domain_errors():
