@@ -304,8 +304,7 @@ def _ml_neg_kernel_table(alpha: float) -> PchipInterpolator:
     """log-log interpolant of x -> E_{alpha,alpha}(-x) on [1e-12, 1e5].
 
     The function is positive and completely monotone for 0 < alpha < 1,
-    so the log-log graph is smooth and gently sloped.  Beyond the table
-    the asymptotic series takes over.
+    so the log-log graph is smooth and gently sloped.
     """
     xg = np.logspace(-12.0, 5.0, 1021)
     vals = np.array(
@@ -317,7 +316,11 @@ def _ml_neg_kernel_table(alpha: float) -> PchipInterpolator:
 
 
 def _ml_neg_kernel(alpha: float, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,alpha}(-x) for x >= 0, vectorized via the cached table."""
+    """E_{alpha,alpha}(-x) for x >= 0, vectorized via the cached table.
+
+    Beyond the table, up to mittag_leffler's |z| <= 1e6, each point is
+    evaluated directly.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 1e-12
@@ -327,14 +330,7 @@ def _ml_neg_kernel(alpha: float, x: np.ndarray) -> np.ndarray:
     if np.any(mid):
         table = _ml_neg_kernel_table(alpha)
         out[mid] = np.exp(table(np.log(x[mid])))
-    if np.any(large):
-        xl = x[large]
-        acc = np.zeros_like(xl)
-        for k in range(2, 7):
-            acc -= (-1.0) ** k * xl ** (-float(k)) * reciprocal_gamma(
-                alpha - alpha * k
-            )
-        out[large] = acc
+    out[large] = [mittag_leffler(alpha, alpha, -xl).real for xl in x[large]]
     return out
 
 

@@ -212,7 +212,8 @@ _ML_N = 20
 _ML_H = 1.0818 / _ML_N
 _ML_MU = 4.4921 * _ML_N
 _ML_DELTA = 1.1721
-# algebraic terms taken out of the integrand once |z| > 2 max|s|^alpha
+# algebraic terms taken out of the integrand once |z| > 2 |s|^alpha on every
+# node that carries weight (Re s >= 0, where |e^s| >= 1)
 _ML_TERMS = 4
 # log of the largest double
 _LOG_MAX = 709.78
@@ -239,7 +240,7 @@ def _hyperbola(offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # two interlaced node sets; a pole on or next to a node of one set is half a
 # step from the nodes of the other
 _ML_NODES = (_hyperbola(0.0), _hyperbola(0.5))
-_ML_S_MAX = max(float(np.max(np.abs(s))) for s, _, _ in _ML_NODES)
+_ML_S_WEIGHTED = max(float(np.max(np.abs(s[s.real >= 0.0]))) for s, _, _ in _ML_NODES)
 
 
 def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
@@ -258,8 +259,9 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
       residue term R e^{s*}, R = s*^{1-beta} / alpha, when |s*| >= 1
       (closer to the origin the subtraction itself would cancel);
     * the algebraic terms -sum_{k=1}^{4} z^{-k} / Gamma(beta - alpha k)
-      when |z| exceeds twice the largest |s|^alpha on the contour, which
-      leaves (s^alpha / z)^4 F and keeps the relative accuracy of the
+      when |z| exceeds twice the largest |s|^alpha over the nodes that
+      carry weight (Re s >= 0, where |e^s| >= 1), which leaves
+      (s^alpha / z)^4 F and keeps the relative accuracy of the
       algebraically decaying values.
 
     Against mpmath the error is at most about 1.3e-12, absolute where
@@ -302,7 +304,7 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
         nodes, log_s, weights = _ML_NODES[int(far[1] > far[0])]
     s_alpha = np.exp(alpha * log_s)
     f = np.exp((alpha - beta) * log_s) / (s_alpha - zc)
-    if az > 2.0 * _ML_S_MAX**alpha:
+    if az > 2.0 * _ML_S_WEIGHTED**alpha:
         for k in range(1, _ML_TERMS + 1):
             value -= zc**-k * reciprocal_gamma(beta - alpha * k)
         f *= (s_alpha / zc) ** _ML_TERMS

@@ -427,7 +427,9 @@ def find_eigenvalues(
     when it is split; each edge starts from the lattice nodes on it.
     Roots are accepted on
     sigma_min < tol, 0 < tol < inf; det itself over- and underflows
-    with N.  The strip must be finite.
+    with N.  The strip must be finite.  Roots come back sorted by real
+    part rounded to 1e-10, then by imaginary part, so that a change in
+    the last bits of a root moves its digits, not its row.
     """
     N = _truncation_order(N)
     if not 0.0 < tol < math.inf:
@@ -483,8 +485,10 @@ def find_eigenvalues(
     ]
     search.rejected["strip"] = len(roots) - len(inside)
 
-    # deterministic order, then collapse duplicates onto the best member
-    inside.sort(key=lambda root: (root[0].real, root[0].imag))
+    # deterministic order, then collapse duplicates onto the best member;
+    # group partners lam + i k omega share Re lam up to rounding, which
+    # must not decide their order
+    inside.sort(key=lambda root: (round(root[0].real, 10), root[0].imag))
     accepted: list = []
     for root in inside:
         for idx, kept in enumerate(accepted):

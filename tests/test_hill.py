@@ -29,6 +29,34 @@ def periodic_spec(b, alpha=0.5):
     return make_system(alpha, 1.0, {0: [[-1.0]], 1: [[-0.5j * b]]})
 
 
+def coupled_k2_spec(alpha=0.7):
+    # a 2 x 2 system with harmonics up to k = 2: blocks of order 4, and a
+    # padded last block at every N
+    return make_system(
+        alpha,
+        1.0,
+        {
+            0: [[0.0, 1.0], [-1.0, -0.2]],
+            1: [[0.0, 0.0], [-0.5j, 0.0]],
+            2: [[0.1j, 0.0], [0.0, -0.3]],
+        },
+    )
+
+
+def dense_phase_and_log_derivative(spec, N, lams):
+    """The dense reference: slogdet and inv of the whole H_N at each lambda."""
+    rs = np.arange(-N, N + 1)
+    phases, slopes = [], []
+    for lam in lams:
+        matrix = assemble(spec, N, lam).matrix
+        w = lam + 1j * spec.omega * rs
+        shift_slope = spec.alpha * principal_power(w, spec.alpha) / w
+        phases.append(np.linalg.slogdet(matrix)[0])
+        inv_diag = np.diagonal(np.linalg.inv(matrix))
+        slopes.append(-np.sum(inv_diag * np.repeat(shift_slope, spec.dim)))
+    return np.array(phases), np.array(slopes)
+
+
 def mathieu_spec(c=1.0, d=2.0, alpha=1.0, omega=2.0):
     # companion form of y'' + (c + d sin(omega t)) y = 0
     return make_system(
@@ -225,6 +253,128 @@ class TestLogDerivative:
         phase, slope = det_phase_and_log_derivative(constant_spec(1.0), 0, [1.0, 2.0])
         assert phase[0] == 0.0 and np.isinf(slope[0])
         assert abs(phase[1]) == pytest.approx(1.0) and np.isfinite(slope[1])
+
+
+def _strip_nodes(seed, count, re, im):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(*re, count) + 1j * rng.uniform(*im, count)
+
+
+class TestBandedElimination:
+    """det_phase_and_log_derivative against the dense slogdet + inv route."""
+
+    @pytest.mark.parametrize(
+        "spec,N,lams",
+        [
+            pytest.param(
+                periodic_spec(2.5),
+                N,
+                _strip_nodes(N, 25, (0.0, 3.0), (-0.5, 0.5)),
+                id=f"scalar-N{N}",
+            )
+            for N in (0, 1, 20, 80)
+        ]
+        + [
+            pytest.param(
+                mathieu_spec(alpha=0.5),
+                10,
+                _strip_nodes(5, 25, (0.0, 3.0), (-1.0, 1.0)),
+                id="mathieu",
+            ),
+            pytest.param(
+                coupled_k2_spec(),
+                20,
+                _strip_nodes(6, 25, (0.0, 3.0), (-0.5, 0.5)),
+                id="k_max-2",
+            ),
+            pytest.param(
+                constant_spec(2.0),
+                20,
+                _strip_nodes(7, 25, (0.0, 3.0), (-0.5, 0.5)),
+                id="k_max-0",
+            ),
+            # Re < 0, one node in each band between the branch cuts
+            # Im = k omega
+            pytest.param(
+                periodic_spec(2.5),
+                20,
+                _strip_nodes(8, 25, (-2.0, -0.1), (0.1, 0.9)) + 1j * np.arange(-12, 13),
+                id="left-of-cuts",
+            ),
+        ],
+    )
+    def test_matches_dense_route(self, spec, N, lams):
+        phase, slope = det_phase_and_log_derivative(spec, N, lams)
+        ref_phase, ref_slope = dense_phase_and_log_derivative(spec, N, lams)
+        np.testing.assert_allclose(phase, ref_phase, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(slope, ref_slope, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("N", [0, 3, 20])
+    def test_exact_zero_in_the_core(self, N):
+        # J_0 = 1, lambda = 1 zeroes the r = 0 diagonal entry; every other
+        # row is dominant and eliminated
+        phase, slope = det_phase_and_log_derivative(constant_spec(1.0), N, [1.0, 2.0])
+        assert phase[0] == 0.0 and slope[0] == complex(np.inf, 0.0)
+        assert abs(phase[1]) == pytest.approx(1.0) and np.isfinite(slope[1])
+
+    def test_core_holds_the_rows_that_are_not_dominant(self):
+        # J = -1 + 2.5 sin t, alpha = 0.5, lambda = 0: |-1 - (i r)^0.5| > 2.5
+        # from |r| = 3 on, so the core is r = -2..2
+        band = hill._Band(periodic_spec(2.5), 20)
+        lo, hi = hill._eliminate(band, *band.diagonals(np.array([0j])))[:2]
+        assert (lo[0] - band.mid, hi[0] - band.mid) == (-2, 2)
+        # every row of the constant J_0 = 2 is dominant: the core is the
+        # block of r = 0 alone
+        band = hill._Band(constant_spec(2.0), 20)
+        lo, hi = hill._eliminate(band, *band.diagonals(np.array([0.3 + 0.1j])))[:2]
+        assert lo[0] == hi[0] == band.mid
+
+    def test_no_dominant_row_is_the_dense_route(self):
+        # every row of J = -1 + 40 sin t fails the test at N = 3, so the
+        # core is the whole matrix and the phase is slogdet's, bit for bit
+        spec, lams = periodic_spec(40.0), np.array([0.3 + 0.2j, 1.5 - 0.4j])
+        band = hill._Band(spec, 3)
+        lo, hi = hill._eliminate(band, *band.diagonals(lams))[:2]
+        assert list(lo) == [0, 0] and list(hi) == [band.B - 1] * 2
+        phase, _ = det_phase_and_log_derivative(spec, 3, lams)
+        for lam, ph in zip(lams, phase):
+            assert ph == np.linalg.slogdet(assemble(spec, 3, lam).matrix)[0]
+
+    @pytest.mark.parametrize(
+        "spec", [periodic_spec(2.5), coupled_k2_spec()], ids=["scalar", "k_max-2"]
+    )
+    def test_each_lambda_on_its_own(self, spec, monkeypatch):
+        # nodes with different cores, factored together, one at a time,
+        # and in elimination passes of 3 nodes with one node per chunk of
+        # cores on two workers
+        lams = np.concatenate(
+            [
+                _strip_nodes(9, 12, (0.0, 6.0), (-0.5, 0.5)),
+                _strip_nodes(10, 6, (-2.0, -0.1), (0.1, 0.9)),
+            ]
+        )
+        together = det_phase_and_log_derivative(spec, 20, lams)
+        alone = [det_phase_and_log_derivative(spec, 20, [lam]) for lam in lams]
+        band = hill._Band(spec, 20)
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 3 * 12 * band.order * band.s)
+        monkeypatch.setattr(hill, "_workers", lambda: 2)
+        passes = det_phase_and_log_derivative(spec, 20, lams)
+        for k in range(2):
+            np.testing.assert_array_equal(together[k], [one[k][0] for one in alone])
+            np.testing.assert_array_equal(together[k], passes[k])
+
+    @pytest.mark.parametrize("offset,bound", [(1e-6, 1e-9), (1e-9, 1e-6)])
+    def test_phase_next_to_a_root_against_mpmath(self, offset, bound):
+        # the near-singularity sits in the dense core: the phase keeps the
+        # accuracy that the conditioning of H allows, like slogdet's
+        spec, lam = periodic_spec(2.5), 0.108241373276464 + offset
+        matrix = assemble(spec, 20, lam).matrix
+        with mp.workdps(40):
+            entries = [[mp.mpc(x.real, x.imag) for x in row] for row in matrix]
+            det = mp.det(mp.matrix(entries))
+            exact = complex(det / abs(det))
+        phase, _ = det_phase_and_log_derivative(spec, 20, [lam])
+        assert abs(phase[0] - exact) <= bound
 
 
 class TestSigmaMin:

@@ -428,6 +428,23 @@ class TestVocSolutionScalar:
             slope = np.polyfit(np.log(ts), np.log(np.abs(us)), 1)[0]
             assert abs(slope + alpha) <= 0.1
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+    def test_kernel_beyond_its_table(self, alpha):
+        # past x = 1e5 the kernel E_{a,a}(-x) is mittag_leffler itself, out
+        # to its |z| <= 1e6; the reference is the large-x expansion
+        # -sum_{k>=2} (-x)^-k / Gamma(a - a k), whose terms past k = 12 lie
+        # below 1e-40 of the sum there
+        xs = np.array([1.5e5, 1e6])
+        got = integrator._ml_neg_kernel(alpha, xs)
+        a = mpmath.mpf(alpha)
+        for x, value in zip(xs, got):
+            with mpmath.workdps(40):
+                ref = -sum(
+                    (-mpmath.mpf(x)) ** -k * mpmath.rgamma(a - a * k)
+                    for k in range(2, 13)
+                )
+            assert abs(value - float(ref)) <= 1e-13 * abs(float(ref))
+
 
 class TestBoundedness:
     def test_random_histories_stay_within_three_norms(self):

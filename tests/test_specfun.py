@@ -409,6 +409,19 @@ def test_ml_negative_axis_relative_accuracy(alpha):
         assert err <= (1e-12 if x >= 100.0 else 1e-9), (x, got, err)
 
 
+
+@pytest.mark.parametrize(
+    "alpha,x", [(0.5, 15.8), (0.7, 35.0), (0.9, 89.0), (0.99, 126.0)]
+)
+def test_ml_negative_axis_below_the_whole_contour_threshold(alpha, x):
+    # |z| here lies below 2 max|s|^alpha over the whole contour (max|s| is
+    # about 68) but above it over the nodes that carry weight, Re s >= 0
+    # (|s| <= 14.5): the algebraic terms come out, which keeps the
+    # relative accuracy of these small values (4e-11 to 9e-9 with them in)
+    ref = _mp_ml_oracle(alpha, alpha, complex(-x))
+    got = mittag_leffler(alpha, alpha, -x)
+    assert float(abs(mp.mpc(got) - ref) / abs(ref)) <= 1e-12, got
+
 def test_ml_domain_errors():
     with pytest.raises(DomainError):
         mittag_leffler(0.0, 1.0, 1.0)

@@ -160,10 +160,13 @@ class TestFindEigenvalues:
             assert ep.classification == INVALID_NEGATIVE_RE
 
     def test_results_sorted(self):
+        # by Re rounded to 1e-10, then Im: the real parts of this conjugate
+        # pair differ in the last bit, which must not decide the order
         spec = make_system(0.5, 1.0, {0: rotation_block(1.1, math.pi / 8)})
         pairs = find_eigenvalues(spec, 8)
-        keys = [(ep.lam.real, ep.lam.imag) for ep in pairs]
+        keys = [(round(ep.lam.real, 10), ep.lam.imag) for ep in pairs]
         assert keys == sorted(keys)
+        assert [ep.lam.imag > 0.0 for ep in pairs] == [False, True]
 
     def test_empty_strip_raises(self):
         with pytest.raises(DomainError):
