@@ -5,18 +5,18 @@ fractional Adams-Bashforth-Moulton predictor-corrector (one correction
 per step).  Its memory sums over the whole past run through a blocked
 FFT convolution in O(N log^2 N) for N steps.  Infinite-history problems
 are reduced to Caputo form by moving the forcing term of the initial
-condition to the right-hand side.
+condition to the right-hand side.  Scalar LTI problems also have a
+variation-of-constants quadrature, whose kernel is an array call of
+:func:`frachill.specfun.mittag_leffler`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DomainError,
@@ -299,41 +299,6 @@ def solve_liouville_weyl(
     return solve_caputo(problem)
 
 
-@functools.lru_cache(maxsize=16)
-def _ml_neg_kernel_table(alpha: float) -> PchipInterpolator:
-    """log-log interpolant of x -> E_{alpha,alpha}(-x) on [1e-12, 1e5].
-
-    The function is positive and completely monotone for 0 < alpha < 1,
-    so the log-log graph is smooth and gently sloped.
-    """
-    xg = np.logspace(-12.0, 5.0, 1021)
-    vals = np.array(
-        [mittag_leffler(alpha, alpha, -x).real for x in xg]
-    )
-    if np.any(vals <= 0.0):
-        raise QuadratureError("kernel table values must stay positive")
-    return PchipInterpolator(np.log(xg), np.log(vals), extrapolate=False)
-
-
-def _ml_neg_kernel(alpha: float, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,alpha}(-x) for x >= 0, vectorized via the cached table.
-
-    Beyond the table, up to mittag_leffler's |z| <= 1e6, each point is
-    evaluated directly.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 1e-12
-    large = x > 1e5
-    mid = ~(small | large)
-    out[small] = reciprocal_gamma(alpha) - x[small] * reciprocal_gamma(2.0 * alpha)
-    if np.any(mid):
-        table = _ml_neg_kernel_table(alpha)
-        out[mid] = np.exp(table(np.log(x[mid])))
-    out[large] = [mittag_leffler(alpha, alpha, -xl).real for xl in x[large]]
-    return out
-
-
 def _history_time_scale(history: HistoryFunction) -> float:
     from .history import TruncatedSinusoid
 
@@ -351,9 +316,14 @@ def voc_solution_scalar(
            - int_0^t s^(alpha-1) E_{alpha,alpha}(A s^alpha) F u0(t-s) ds
 
     evaluated by direct quadrature (substitution near the weak
-    singularity s -> 0, oscillation-resolving Gauss panels elsewhere).
-    Accurate to about 1e-6; intended for long-horizon decay studies
-    where time stepping is too slow.
+    singularity s -> 0, oscillation-resolving Gauss panels elsewhere),
+    with the kernel E_{alpha,alpha}(A s^alpha) from :func:`mittag_leffler`
+    on all quadrature nodes at once.  The tests hold it to 1e-13 of
+    the closed form for a constant history; for sinusoid and ramp
+    histories, whose forcing has a kink at t - s = 0, a PECE march
+    converges to it and comes within 2e-6 at t = 20 with dt = 0.005.
+    Intended for long-horizon decay studies where time stepping is too
+    slow.
     """
     if not A < 0.0:
         raise DomainError("voc_solution_scalar requires A < 0")
@@ -374,7 +344,6 @@ def voc_solution_scalar(
     fe = ForcingEvaluator(history, alpha)
     hom = mittag_leffler(alpha, 1.0, A * t ** alpha).real * u0
 
-    aabs = -A
     nodes, weights = np.polynomial.legendre.leggauss(10)
 
     def kernel_sum(edges: np.ndarray, integrand) -> float:
@@ -392,7 +361,7 @@ def voc_solution_scalar(
     u_edges = np.linspace(0.0, delta ** alpha, 9)
     part_small = kernel_sum(
         u_edges,
-        lambda u: _ml_neg_kernel(alpha, aabs * u)
+        lambda u: mittag_leffler(alpha, alpha, A * u).real
         * forcing_grid(fe, t - u ** (1.0 / alpha))[:, 0]
         / alpha,
     )
@@ -406,7 +375,7 @@ def voc_solution_scalar(
         part_main = kernel_sum(
             edges,
             lambda s: s ** (alpha - 1.0)
-            * _ml_neg_kernel(alpha, aabs * s ** alpha)
+            * mittag_leffler(alpha, alpha, A * s ** alpha).real
             * forcing_grid(fe, t - s)[:, 0],
         )
 

@@ -13,15 +13,15 @@ Everything here is double precision.  The three central objects are
 
       E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta),
 
-  on one path for every z: the inverse Laplace transform at t = 1 of
-  s^{alpha-beta} / (s^alpha - z) by the trapezoidal rule on a fixed
-  hyperbola around the branch cut of s^alpha, with the pole z^{1/alpha}
-  and, at large |z|, the leading algebraic terms taken out exactly.
+  scalar or array, on one path for every z: the inverse Laplace transform
+  at t = 1 of s^{alpha-beta} / (s^alpha - z) by the trapezoidal rule on a
+  fixed hyperbola around the branch cut of s^alpha, with the pole
+  z^{1/alpha} and, at large |z|, the leading algebraic terms taken out
+  exactly; an array runs through the rule in fixed-size blocks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -215,8 +215,6 @@ _ML_DELTA = 1.1721
 # algebraic terms taken out of the integrand once |z| > 2 |s|^alpha on every
 # node that carries weight (Re s >= 0, where |e^s| >= 1)
 _ML_TERMS = 4
-# log of the largest double
-_LOG_MAX = 709.78
 
 
 def _hyperbola(offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,19 +239,25 @@ def _hyperbola(offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # step from the nodes of the other
 _ML_NODES = (_hyperbola(0.0), _hyperbola(0.5))
 _ML_S_WEIGHTED = max(float(np.max(np.abs(s[s.real >= 0.0]))) for s, _, _ in _ML_NODES)
+# elements per block of an array call: a block's node terms, 42 complex
+# numbers an element, stay a few megabytes
+_ML_CHUNK = 4096
 
 
-def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
+def mittag_leffler(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function
 
         E_{alpha,beta}(z) = sum_{k>=0} z^k / Gamma(alpha k + beta).
 
-    Requires 0 < alpha <= 1, 0 < beta <= 5 and a finite z with
-    |z| <= 1e6.  The value is the inverse Laplace transform at t = 1 of
+    ``z`` is a scalar or an array: a scalar gives a Python complex, an
+    array a complex array of the same shape.  Requires 0 < alpha <= 1,
+    0 < beta <= 5 and every z finite with |z| <= 1e6; one element
+    outside that raises :class:`DomainError` for the whole call.  The
+    value is the inverse Laplace transform at t = 1 of
     F(s) = s^{alpha-beta} / (s^alpha - z), by the trapezoidal rule on a
     fixed hyperbola around the branch cut of s^alpha (Weideman and
-    Trefethen 2007; Garrappa 2015).  Two terms are taken out of F
-    exactly:
+    Trefethen 2007; Garrappa 2015).  Each element runs the same rule;
+    two terms are taken out of F exactly:
 
     * the pole s* = z^{1/alpha}, present when |Arg z| < alpha pi, with
       residue term R e^{s*}, R = s*^{1-beta} / alpha, when |s*| >= 1
@@ -277,47 +281,73 @@ def mittag_leffler(alpha: float, beta: float, z: complex) -> complex:
         raise DomainError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
     if not (0.0 < beta <= 5.0):
         raise DomainError(f"mittag_leffler requires 0 < beta <= 5, got {beta}")
-    zc = complex(z)
-    if not cmath.isfinite(zc):
-        raise DomainError(f"mittag_leffler requires a finite z, got {zc}")
-    az = abs(zc)
-    if az > 1e6:
-        raise DomainError(f"mittag_leffler requires |z| <= 1e6, got {az:g}")
-    if az == 0.0:
-        return complex(reciprocal_gamma(beta))
+    zc = np.asarray(z, dtype=complex)
+    bad = zc[~(np.abs(zc) <= 1e6)]
+    if bad.size:
+        raise DomainError(f"mittag_leffler requires finite z, |z| <= 1e6, got {bad[0]}")
 
-    log_z = cmath.log(zc)
-    value = 0.0j
-    pole = None
-    if abs(log_z.imag) < alpha * math.pi:
-        s_star = cmath.exp(log_z / alpha)
-        if abs(s_star) >= 1.0:
-            log_r = (1.0 - beta) / alpha * log_z - math.log(alpha)
-            if (s_star + log_r).real > _LOG_MAX:
-                return complex(math.inf, 0.0)
-            pole = s_star, cmath.exp(log_r)
-            value += cmath.exp(s_star + log_r)
+    # per node, hoisted out of the per-element work: s^alpha, and s^(alpha-beta) w
+    # for F, or that times s^(4 alpha) for (s^alpha / z)^4 F less its 1 / z^4
+    rule = []
+    for nodes, log_s, weights in _ML_NODES:
+        s_alpha = np.exp(alpha * log_s)
+        numer = np.exp((alpha - beta) * log_s) * weights
+        rule.append((nodes, weights, s_alpha, (numer, numer * s_alpha**_ML_TERMS)))
+    # 1 / Gamma(beta - alpha k) for k = _ML_TERMS, ..., 1, in Horner order
+    algebraic = [reciprocal_gamma(beta - alpha * k) for k in range(_ML_TERMS, 0, -1)]
+    out = np.empty(zc.shape, dtype=complex)
+    flat, res = zc.ravel(), out.reshape(-1)
+    for lo in range(0, flat.size, _ML_CHUNK):
+        block = slice(lo, lo + _ML_CHUNK)
+        res[block] = _ml_chunk(alpha, beta, flat[block], rule, algebraic)
+    res[flat == 0.0] = reciprocal_gamma(beta)
+    return out if out.ndim or isinstance(z, np.ndarray) else complex(out)
 
-    nodes, log_s, weights = _ML_NODES[0]
-    if pole is not None:
-        far = [np.min(np.abs(s - pole[0])) for s, _, _ in _ML_NODES]
-        nodes, log_s, weights = _ML_NODES[int(far[1] > far[0])]
-    s_alpha = np.exp(alpha * log_s)
-    f = np.exp((alpha - beta) * log_s) / (s_alpha - zc)
-    if az > 2.0 * _ML_S_WEIGHTED**alpha:
-        for k in range(1, _ML_TERMS + 1):
-            value -= zc**-k * reciprocal_gamma(beta - alpha * k)
-        f *= (s_alpha / zc) ** _ML_TERMS
-    if pole is not None:
-        s_star, r = pole
-        f -= r / (nodes - s_star)
-    terms = f * weights
-    # pair each node with its mirror image, so that conjugate z give
-    # conjugate sums
-    half = terms.size // 2
-    value += complex(np.sum(terms[:half] + terms[half:]))
-    if not cmath.isfinite(value):
-        return complex(math.inf, 0.0)
+
+def _ml_chunk(
+    alpha: float, beta: float, z: np.ndarray, rule: list, algebraic: list
+) -> np.ndarray:
+    """E_{alpha,beta} on a 1-d array z, with the node factors and algebraic
+    coefficients that :func:`mittag_leffler` hoists; a zero z is replaced
+    by the caller."""
+    # the pole s* = z^(1/alpha), with residue R = s*^(1-beta) / alpha
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_z = np.log(z)
+        s_star = np.exp(log_z / alpha)
+        log_r = (1.0 - beta) / alpha * log_z - math.log(alpha)
+        pole = (np.abs(log_z.imag) < alpha * math.pi) & (np.abs(s_star) >= 1.0)
+        # R e^{s*}; one beyond double precision makes the value inf below
+        value = np.exp(np.where(pole, s_star + log_r, -np.inf))
+    pole &= np.isfinite(value)
+    # group 2 * (node set) + (algebraic terms out); an element with a pole
+    # takes the node set farther from it
+    group = (np.abs(z) > 2.0 * _ML_S_WEIGHTED**alpha).astype(np.intp)
+    if pole.any():
+        far = [np.min(np.abs(nodes - s_star[pole, None]), axis=1) for nodes, *_ in rule]
+        group[pole] += 2 * (far[1] > far[0])
+    for g in np.flatnonzero(np.bincount(group, minlength=4)):
+        nodes, weights, s_alpha, numer = rule[g >> 1]
+        idx = np.flatnonzero(group == g)
+        zi = z[idx, None]
+        terms = numer[g & 1] / (s_alpha - zi)
+        if g & 1:
+            inv = 1.0 / zi
+            tail = 0.0
+            for c in algebraic:
+                tail = (tail + c) * inv
+            value[idx] -= tail[:, 0]
+            # out of place: numpy squares a short complex array in place without
+            # its fused loop, which ties an element's last bit to the chunk length
+            inv = inv * inv
+            terms = terms * (inv * inv)
+        poled = pole[idx]
+        if poled.any():
+            p = idx[poled, None]
+            terms[poled] -= weights * (np.exp(log_r[p]) / (nodes - s_star[p]))
+        # pair each node with its mirror image, so that conjugate z give
+        # conjugate sums
+        value[idx] += np.sum(terms[:, :_ML_N + 1] + terms[:, _ML_N + 1 :], axis=1)
+    value[~np.isfinite(value)] = complex(math.inf, 0.0)
     return value
 
 
@@ -340,7 +370,7 @@ def ml_matrix(
             f"eigenvector matrix condition {cond:.3g} too large for the "
             "spectral Mittag-Leffler formula"
         )
-    e = np.array([mittag_leffler(alpha, beta, wi * scalar) for wi in w])
+    e = mittag_leffler(alpha, beta, w * scalar)
     out = v @ np.diag(e) @ np.linalg.inv(v)
     if np.isrealobj(a) and np.max(np.abs(out.imag)) <= 1e-9 * max(
         1.0, np.max(np.abs(out.real))

@@ -429,13 +429,13 @@ class TestVocSolutionScalar:
             assert abs(slope + alpha) <= 0.1
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
-    def test_kernel_beyond_its_table(self, alpha):
-        # past x = 1e5 the kernel E_{a,a}(-x) is mittag_leffler itself, out
+    def test_kernel_array_call_at_large_x(self, alpha):
+        # the kernel E_{a,a}(-x) is one array call of mittag_leffler, out
         # to its |z| <= 1e6; the reference is the large-x expansion
         # -sum_{k>=2} (-x)^-k / Gamma(a - a k), whose terms past k = 12 lie
         # below 1e-40 of the sum there
         xs = np.array([1.5e5, 1e6])
-        got = integrator._ml_neg_kernel(alpha, xs)
+        got = mittag_leffler(alpha, alpha, -xs).real
         a = mpmath.mpf(alpha)
         for x, value in zip(xs, got):
             with mpmath.workdps(40):
@@ -444,6 +444,25 @@ class TestVocSolutionScalar:
                     for k in range(2, 13)
                 )
             assert abs(value - float(ref)) <= 1e-13 * abs(float(ref))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
+    def test_march_converges_to_it(self, alpha):
+        # the PECE march is an independent route: halving its step halves
+        # its distance to the quadrature, which at dt = 0.005 is a few
+        # 1e-6 at t = 20 for histories whose forcing has a kink at t = 0
+        histories = (
+            TruncatedSinusoid(amplitude=[1.0], phase=math.pi / 4),
+            TruncatedSinusoid(amplitude=[1.0], phase=0.3, frequency=2.0),
+            PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0),
+        )
+        for h in histories:
+            v = voc_solution_scalar(-1.0, alpha, h, 20.0)
+            gaps = []
+            for dt in (0.01, 0.005):
+                tr = solve_liouville_weyl(lambda t, x: -x, h, 20.0, dt, alpha=alpha)
+                gaps.append(abs(tr.final[0] - v))
+            assert gaps[1] <= 0.7 * gaps[0], (h, gaps)
+            assert gaps[1] <= 2e-6, (h, gaps)
 
 
 class TestBoundedness:

@@ -9,14 +9,20 @@ double-rounding noise into the reference).
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import wofz
 
+import frachill
 from frachill.errors import DomainError, NotDiagonalizableError, PoleError
 from frachill.specfun import (
+    _ML_CHUNK,
     _ML_NODES,
     _upper_gamma_scaled,
     gamma,
@@ -382,19 +388,24 @@ def test_ml_alpha_one_against_hypergeometric():
             assert _ml_error(got, ref) <= 1e-10, (beta, z, got)
 
 
+def _poles_at_nodes(node_set, alpha):
+    """z whose pole z^(1/alpha) lies on a node of one interlaced set, and
+    1e-9 away from it, where the subtracted residue cancels the most."""
+    nodes = _ML_NODES[node_set][0]
+    return [
+        cmath.exp(alpha * cmath.log(complex(nodes[k]) + shift))
+        for k in (0, 4, 10, -3)
+        for shift in (0.0, 1e-9, 1e-9j)
+    ]
+
+
 @pytest.mark.parametrize("node_set", [0, 1])
 def test_ml_pole_on_and_next_to_quadrature_nodes(node_set):
-    # the pole z^(1/alpha) placed on a node of either interlaced set, and
-    # 1e-9 away from it, where the subtracted residue cancels the most
-    nodes = _ML_NODES[node_set][0]
-    for k in (0, 4, 10, -3):
-        for alpha, beta in ((0.5, 1.0), (0.8, 2.5), (1.0, 0.5)):
-            for shift in (0.0, 1e-9, 1e-9j):
-                pole = complex(nodes[k]) + shift
-                z = cmath.exp(alpha * cmath.log(pole))
-                got = mittag_leffler(alpha, beta, z)
-                err = _ml_error(got, _mp_ml_oracle(alpha, beta, z))
-                assert err <= 1e-10, (alpha, beta, pole, got, err)
+    for alpha, beta in ((0.5, 1.0), (0.8, 2.5), (1.0, 0.5)):
+        for z in _poles_at_nodes(node_set, alpha):
+            got = mittag_leffler(alpha, beta, z)
+            err = _ml_error(got, _mp_ml_oracle(alpha, beta, z))
+            assert err <= 1e-10, (alpha, beta, z, got, err)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -431,6 +442,91 @@ def test_ml_domain_errors():
         mittag_leffler(0.5, 6.0, 1.0)
     with pytest.raises(DomainError):
         mittag_leffler(0.5, 1.0, 2e6)
+
+
+def _assert_array_matches_scalar_calls(alpha, beta, z):
+    got = mittag_leffler(alpha, beta, z)
+    want = np.array([mittag_leffler(alpha, beta, zk) for zk in z])
+    assert got.shape == z.shape and got.dtype == complex
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite]) / np.abs(want[finite])
+    assert err.max() <= 1e-15, z[finite][np.argmax(err)]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+def test_ml_array_matches_scalar_calls_on_negative_axis(alpha):
+    # the variation-of-constants kernel E_{alpha,alpha}(-x), out to 8e5
+    x = np.concatenate(([0.0], np.logspace(-12.0, math.log10(8e5), 800)))
+    _assert_array_matches_scalar_calls(alpha, alpha, -x)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.3, 1.0), (0.5, 1.0), (0.8, 2.5), (0.95, 0.4), (1.0, 0.5), (1.0, 1.0)],
+)
+def test_ml_array_matches_scalar_calls_in_the_plane(alpha, beta):
+    # with and without a pole and the algebraic terms, z = 0, poles on and
+    # next to the nodes of each set, and the overflowing pole s* = 800
+    rng = np.random.default_rng(int(100 * alpha + 10 * beta))
+    r = 10.0 ** rng.uniform(-3.0, 3.0, 600)
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 600))
+    poles = _poles_at_nodes(0, alpha) + _poles_at_nodes(1, alpha)
+    z = np.concatenate((z, [0.0, 800.0**alpha], poles))
+    _assert_array_matches_scalar_calls(alpha, beta, z)
+    assert mittag_leffler(alpha, beta, z)[601] == complex(math.inf, 0.0)
+
+
+def test_ml_array_across_chunks_matches_scalar_calls():
+    rng = np.random.default_rng(7)
+    n = _ML_CHUNK + 40
+    z = rng.uniform(-40.0, 12.0, n) + 1j * rng.uniform(-20.0, 20.0, n)
+    _assert_array_matches_scalar_calls(0.7, 1.2, z)
+
+
+def test_ml_keeps_shapes():
+    assert type(mittag_leffler(0.5, 1.0, -1.0)) is complex
+    assert type(mittag_leffler(0.5, 1.0, np.float64(-1.0))) is complex
+    assert type(mittag_leffler(0.5, 1.0, 0.5 + 1.0j)) is complex
+    z = np.array([[-1.0, 0.0, 2.0], [1.0j, -3.0 - 1.0j, 50.0]])
+    got = mittag_leffler(0.5, 1.0, z)
+    assert got.shape == (2, 3) and got.dtype == complex
+    want = mittag_leffler(0.5, 1.0, -3.0 - 1.0j)
+    assert got[1, 1] == pytest.approx(want, rel=1e-15)
+    zero_d = mittag_leffler(0.5, 1.0, np.array(-1.0))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d == pytest.approx(mittag_leffler(0.5, 1.0, -1.0), rel=1e-15)
+    for shape in ((0,), (3, 0)):
+        empty = mittag_leffler(0.5, 1.0, np.zeros(shape))
+        assert empty.shape == shape and empty.dtype == complex
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, complex(1.0, math.nan), math.inf, 2e6, -1.5e6j]
+)
+def test_ml_one_bad_element_fails_the_call(bad):
+    z = np.full(5, -1.0, dtype=complex)
+    z[3] = bad
+    with pytest.raises(DomainError):
+        mittag_leffler(0.5, 1.0, z)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves the tests as a reference only; the package runs on numpy
+    code = (
+        "import sys, frachill; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(frachill.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_ml_matrix_scalar_consistency():
