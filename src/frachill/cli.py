@@ -136,14 +136,29 @@ class RunManifest:
         )
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_csv(path, columns) -> None:
+    """Write (name, values) columns as CSV.
+
+    A complex column writes name_re,name_im; numbers go through _fmt and
+    strings are written as they are.
+    """
+    header, cells = [], []
+    for name, values in columns:
+        values = np.asarray(values)
+        if np.iscomplexobj(values):
+            header += [f"{name}_re", f"{name}_im"]
+            parts = (values.real, values.imag)
+        else:
+            header.append(name)
+            parts = (values,)
+        for part in parts:
+            cells.append([v if isinstance(v, str) else _fmt(v) for v in part.tolist()])
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _emit(path, header, rows, command, parameters, inputs, started) -> None:
-    _write_csv(path, header, rows)
+def _emit(path, columns, command, parameters, inputs, started) -> None:
+    _write_csv(path, columns)
     manifest = RunManifest(
         command=command,
         parameters=parameters,
@@ -154,25 +169,30 @@ def _emit(path, header, rows, command, parameters, inputs, started) -> None:
     log.info("wrote %s", path)
 
 
-def _trajectory_table(times, values) -> tuple[list[str], list[list[str]]]:
-    """CSV header and rows; complex data splits into _re/_im columns."""
-    n = values.shape[1]
-    if np.iscomplexobj(values):
-        header = ["t"]
-        for j in range(n):
-            header += [f"y{j + 1}_re", f"y{j + 1}_im"]
-        rows = []
-        for t, y in zip(times, values):
-            row = [_fmt(t)]
-            for yj in y:
-                row += [_fmt(yj.real), _fmt(yj.imag)]
-            rows.append(row)
-    else:
-        header = ["t"] + [f"y{j + 1}" for j in range(n)]
-        rows = [
-            [_fmt(t)] + [_fmt(yj) for yj in y] for t, y in zip(times, values)
-        ]
-    return header, rows
+def _trajectory_columns(times, values, name: str = "y") -> list:
+    """t, then component j of values as column name{j}."""
+    return [("t", times)] + [
+        (f"{name}{j + 1}", column) for j, column in enumerate(values.T)
+    ]
+
+
+def _det_columns(lams, logdet, sigma) -> list:
+    return [
+        ("re", lams.real),
+        ("im", lams.imag),
+        ("log_abs_det", logdet),
+        ("sigma_min", sigma),
+    ]
+
+
+def _eig_columns(pairs) -> list:
+    lams = np.array([ep.lam for ep in pairs], dtype=complex)
+    return [
+        ("re", lams.real),
+        ("im", lams.imag),
+        ("residual", [ep.residual for ep in pairs]),
+        ("classification", [ep.classification for ep in pairs]),
+    ]
 
 
 def _cmd_ml(args) -> int:
@@ -189,11 +209,9 @@ def _cmd_simulate(args) -> int:
     spec = parse_system(sys_doc)
     history = parse_history(hist_doc)
     tr = solve_liouville_weyl(spec, history, args.t_end, args.dt)
-    header, rows = _trajectory_table(tr.times, np.atleast_2d(tr.values))
     _emit(
         args.out,
-        header,
-        rows,
+        _trajectory_columns(tr.times, np.atleast_2d(tr.values)),
         "simulate",
         {"t_end": args.t_end, "dt": args.dt},
         {
@@ -211,13 +229,9 @@ def _cmd_forcing(args) -> int:
     history = parse_history(hist_doc)
     ts = _parse_grid(args.grid)
     fe = ForcingEvaluator(history=history, alpha=args.alpha)
-    vals = forcing_grid(fe, ts)
-    header, rows = _trajectory_table(ts, vals)
-    header = [h.replace("y", "f") for h in header]
     _emit(
         args.out,
-        header,
-        rows,
+        _trajectory_columns(ts, forcing_grid(fe, ts), "f"),
         "forcing",
         {"alpha": args.alpha, "grid": args.grid},
         {"history": {"path": args.history, "sha256": hist_hash}},
@@ -234,33 +248,15 @@ def _cmd_hill_det(args) -> int:
     ims = _parse_grid(args.im)
     # row-major: the --re axis is the outer loop
     lams = (res[:, None] + 1j * ims[None, :]).ravel()
-    logdet, sigma = evaluate_grid(spec, args.N, lams)
-    rows = [
-        [_fmt(lam.real), _fmt(lam.imag), _fmt(ld), _fmt(sm)]
-        for lam, ld, sm in zip(lams, logdet, sigma)
-    ]
     _emit(
         args.out,
-        ["re", "im", "log_abs_det", "sigma_min"],
-        rows,
+        _det_columns(lams, *evaluate_grid(spec, args.N, lams)),
         "hill-det",
         {"N": args.N, "re": args.re, "im": args.im},
         {"system": {"path": args.system, "sha256": sys_hash}},
         started,
     )
     return 0
-
-
-def _eig_rows(pairs) -> list[list[str]]:
-    return [
-        [
-            _fmt(ep.lam.real),
-            _fmt(ep.lam.imag),
-            _fmt(ep.residual),
-            ep.classification,
-        ]
-        for ep in pairs
-    ]
 
 
 def _search(args):
@@ -279,8 +275,7 @@ def _cmd_eig(args) -> int:
     _, sys_hash, pairs = _search(args)
     _emit(
         args.out,
-        ["re", "im", "residual", "classification"],
-        _eig_rows(pairs),
+        _eig_columns(pairs),
         "eig",
         {"N": args.N, "tol": args.tol, "strip": args.strip},
         {"system": {"path": args.system, "sha256": sys_hash}},
@@ -305,11 +300,9 @@ def _cmd_floquet(args) -> int:
     ep = _select_pair(pairs, args.index)
     times = _grid(0.0, args.t_end, args.dt)
     tr = reconstruct_floquet(ep, spec, times)
-    header, rows = _trajectory_table(tr.times, tr.values)
     _emit(
         args.out,
-        header,
-        rows,
+        _trajectory_columns(tr.times, tr.values),
         "floquet",
         {
             "N": args.N,
@@ -400,11 +393,9 @@ def reproduce_figures(outdir) -> str:
         spec = _example_scalar(b)
         tr = solve_liouville_weyl(spec, Constant(values=[1.0]), 50.0, 0.01)
         final_abs[b] = float(np.linalg.norm(tr.final))
-        header, rows = _trajectory_table(tr.times, np.atleast_2d(tr.values))
         _emit(
             out / f"fig2_trajectory_{label}.csv",
-            header,
-            rows,
+            _trajectory_columns(tr.times, np.atleast_2d(tr.values)),
             "reproduce",
             {"b": b, "alpha": 0.5, "t_end": 50.0, "dt": 0.01, "history": "constant 1"},
             {},
@@ -417,15 +408,9 @@ def reproduce_figures(outdir) -> str:
     lams = (res[:, None] + 1j * ims[None, :]).ravel()
     for b, label in ((1.0, "b1"), (2.5, "b2p5")):
         started = time.perf_counter()
-        logdet, sigma = evaluate_grid(_example_scalar(b), 20, lams)
-        rows = [
-            [_fmt(lam.real), _fmt(lam.imag), _fmt(ld), _fmt(sm)]
-            for lam, ld, sm in zip(lams, logdet, sigma)
-        ]
         _emit(
             out / f"fig4_logdet_{label}.csv",
-            ["re", "im", "log_abs_det", "sigma_min"],
-            rows,
+            _det_columns(lams, *evaluate_grid(_example_scalar(b), 20, lams)),
             "reproduce",
             {"b": b, "N": 20, "re": "-1:1:101", "im": "-1.5:1.5:151"},
             {},
@@ -439,8 +424,7 @@ def reproduce_figures(outdir) -> str:
     )
     _emit(
         out / "fig5_eigs_scalar.csv",
-        ["re", "im", "residual", "classification"],
-        _eig_rows(scalar_eigs),
+        _eig_columns(scalar_eigs),
         "reproduce",
         {"b": 2.5, "N": 20, "strip": "0:4:-2.5:2.5"},
         {},
@@ -452,8 +436,7 @@ def reproduce_figures(outdir) -> str:
     )
     _emit(
         out / "fig5_eigs_mathieu.csv",
-        ["re", "im", "residual", "classification"],
-        _eig_rows(mathieu_eigs),
+        _eig_columns(mathieu_eigs),
         "reproduce",
         {"c": 1.0, "d": 2.0, "alpha": 0.9, "N": 10, "strip": "-3:3:-2.5:2.5"},
         {},
@@ -466,14 +449,9 @@ def reproduce_figures(outdir) -> str:
     pairs22 = find_eigenvalues(spec22, 10)
     ep = _select_pair(pairs22, 0)
     sim, hill, max_rel_err = compare_floquet(ep, spec22, 4.0 * math.pi, 1e-3)
-    rows = [
-        [_fmt(t), _fmt(ys.real), _fmt(ys.imag), _fmt(yh.real), _fmt(yh.imag)]
-        for t, ys, yh in zip(sim.times, sim.values[:, 0], hill.values[:, 0])
-    ]
     _emit(
         out / "fig6_verification.csv",
-        ["t", "y_sim_re", "y_sim_im", "y_hill_re", "y_hill_im"],
-        rows,
+        [("t", sim.times), ("y_sim", sim.values[:, 0]), ("y_hill", hill.values[:, 0])],
         "reproduce",
         {"b": 2.2, "N": 10, "t_end": 4.0 * math.pi, "dt": 1e-3},
         {},

@@ -7,22 +7,23 @@ determinant in lambda are the Floquet exponent candidates; the search
 itself lives in the spectral module: it counts roots with the phase of
 the determinant and accepts them on the smallest singular value.
 
-The grid services sigma_min_grid and evaluate_grid factor stacks of
-whole H_N with batched LAPACK SVDs, which release the interpreter lock.
-evaluate_grid reads both of its values from one SVD per matrix:
-sigma_min, and log|det| as the sum of log sigma_i, -inf where a
-singular value is 0.  det_phase_and_log_derivative, which the root
-search calls, never factors a whole H_N: H_N is block banded, and the
-outer block rows, which the growing shifts make diagonally dominant,
-are eliminated from both ends by a matrix continued fraction, so that
-only a small dense core around r = 0 is factored.
+Every H_N is built by _Band, which holds the lambda-independent part
+and is the one place that computes the shifts.  evaluate_grid factors
+stacks of whole H_N with batched LAPACK SVDs and reads both of its
+values from one SVD per matrix: sigma_min, and log|det| as the sum of
+log sigma_i, -inf where a singular value is 0; sigma_min_grid is its
+sigma_min column.  det_phase_and_log_derivative, which the root search
+calls, never factors a whole H_N: H_N is block banded, and the outer
+block rows, which the growing shifts make diagonally dominant, are
+eliminated from both ends by a matrix continued fraction, so that only
+a small dense core around r = 0 is factored, in the calling thread.
 
-A call that needs more than one stack builds and factors its stacks on
-a thread pool with one thread per core in the process's affinity mask;
-the pool starts on first use and is never configured.  Each matrix, and
-each lambda's elimination and core, is computed on its own, so results
-do not depend on how the lambdas are split into stacks or on the number
-of cores.
+A grid that needs more than one stack is factored on a thread pool with
+one thread per core in the process's affinity mask; the SVDs release
+the interpreter lock, and the pool starts on first use and is never
+configured.  Each matrix, and each lambda's elimination and core, is
+computed on its own, so results do not depend on how the lambdas are
+split into stacks or on the number of cores.
 """
 
 from __future__ import annotations
@@ -92,24 +93,6 @@ def _truncation_order(N) -> int:
     return n
 
 
-def _toeplitz_part(spec: SystemSpec, N: int) -> np.ndarray:
-    """The lambda-independent part: block (r, c) = J_{r-c}."""
-    n, kmax = spec.dim, spec.coeffs.k_max
-    d = np.subtract.outer(np.arange(2 * N + 1), np.arange(2 * N + 1))
-    table = np.stack([spec.coeffs.coeff(k) for k in range(-kmax, kmax + 2)])
-    # harmonics beyond k_max index the zero block at the end of table
-    d = np.where(np.abs(d) <= kmax, d + kmax, 2 * kmax + 1)
-    return table[d].transpose(0, 2, 1, 3).reshape(n * (2 * N + 1), -1)
-
-
-def _shifts(spec: SystemSpec, N: int, lams: np.ndarray) -> np.ndarray:
-    """Per-entry diagonal shifts, shape (len(lams), n(2N+1))."""
-    rs = np.arange(-N, N + 1)
-    args = np.asarray(lams, dtype=complex)[:, None] + 1j * spec.omega * rs[None, :]
-    pp = principal_power(args, spec.alpha)
-    return np.repeat(pp, spec.dim, axis=1)
-
-
 def assemble(spec: SystemSpec, N: int, lam: complex) -> HillMatrix:
     """Build H_N(lambda) = blocks J_{r-c} minus the shifted diagonal.
 
@@ -119,9 +102,8 @@ def assemble(spec: SystemSpec, N: int, lam: complex) -> HillMatrix:
     """
     N = _truncation_order(N)
     lam = complex(lam)
-    matrix = _toeplitz_part(spec, N)
-    diag = np.arange(matrix.shape[0])
-    matrix[diag, diag] -= _shifts(spec, N, np.array([lam]))[0]
+    band = _Band(spec, N)
+    matrix = band.stack(band.diagonals(np.array([lam]))[0], 0, band.m)[0]
     matrix.setflags(write=False)
     return HillMatrix(spec=spec, N=N, lam=lam, matrix=matrix)
 
@@ -160,35 +142,9 @@ def _map_chunks(lams, m: int, job) -> list:
     return list(_pool(workers, os.getpid()).map(job, chunks))
 
 
-def _map_stacks(spec: SystemSpec, N: int, lams, factor) -> list:
-    """factor(stack, chunk) for each stack of H_N over consecutive lams.
-
-    Each stack is built and factored by the worker that runs it.
-    """
-    base = _toeplitz_part(spec, N)
-    m = base.shape[0]
-
-    def job(chunk):
-        stack = np.broadcast_to(base, (len(chunk), m, m)).copy()
-        diag = np.arange(m)
-        stack[:, diag, diag] -= _shifts(spec, N, chunk)
-        return factor(stack, chunk)
-
-    return _map_chunks(lams, m, job)
-
-
 def sigma_min_grid(spec: SystemSpec, N: int, lams) -> np.ndarray:
-    """sigma_min of H_N over a whole array of lambda values.
-
-    Stacked SVDs factor many small matrices per LAPACK call, which is
-    what makes dense grid sweeps cheap.
-    """
-    N = _truncation_order(N)
-    lams = np.asarray(lams, dtype=complex).ravel()
-    out = _map_stacks(
-        spec, N, lams, lambda stack, _: np.linalg.svd(stack, compute_uv=False)[:, -1]
-    )
-    return np.concatenate(out) if out else np.zeros(0)
+    """sigma_min of H_N over a whole array of lambda values: evaluate_grid's."""
+    return evaluate_grid(spec, N, lams)[1]
 
 
 class _Band:
@@ -199,7 +155,8 @@ class _Band:
     leaves blocks of order s = dim * g on three block diagonals.  The
     last group is padded with identity rows and columns, which change
     neither det H nor its derivative.  base is the padded
-    lambda-independent part, of order B * s; blocks are its diagonal
+    lambda-independent part, of order B * s, whose leading m = dim (2N + 1)
+    rows and columns are H_N without its shifts; blocks are its diagonal
     blocks, upper and lower the blocks (b, b+1) and (b+1, b), off each
     scalar row's off-diagonal absolute sum and mid the block that holds
     the harmonic r = 0.
@@ -207,14 +164,19 @@ class _Band:
 
     def __init__(self, spec: SystemSpec, N: int):
         self.spec, self.N = spec, N
-        g = max(1, min(spec.coeffs.k_max, 2 * N + 1))
+        kmax = spec.coeffs.k_max
+        g = max(1, min(kmax, 2 * N + 1))
         self.s = s = spec.dim * g
         self.B = B = -(-(2 * N + 1) // g)
         self.mid = N // g
         self.order = B * s
-        m = spec.dim * (2 * N + 1)
+        self.m = m = spec.dim * (2 * N + 1)
+        d = np.subtract.outer(np.arange(2 * N + 1), np.arange(2 * N + 1))
+        table = np.stack([spec.coeffs.coeff(k) for k in range(-kmax, kmax + 2)])
+        # harmonics beyond k_max index the zero block at the end of table
+        d = np.where(np.abs(d) <= kmax, d + kmax, 2 * kmax + 1)
         self.base = np.eye(self.order, dtype=complex)
-        self.base[:m, :m] = _toeplitz_part(spec, N)
+        self.base[:m, :m] = table[d].transpose(0, 2, 1, 3).reshape(m, m)
         self.base_diag = np.diagonal(self.base)
         absolute = np.abs(self.base)
         np.fill_diagonal(absolute, 0.0)
@@ -231,7 +193,7 @@ class _Band:
         -(lambda + i r omega)^alpha and -alpha (lambda + i r omega)^(alpha-1)
         per scalar row, 0 on the padding; shape (len(lams), B * s) each.
         """
-        spec, m = self.spec, self.spec.dim * (2 * self.N + 1)
+        spec, m = self.spec, self.m
         w = lams[:, None] + 1j * spec.omega * np.arange(-self.N, self.N + 1)
         power = principal_power(w, spec.alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,6 +203,16 @@ class _Band:
         diag[:, :m] = -np.repeat(power, spec.dim, axis=1)
         slope[:, :m] = -np.repeat(power_slope, spec.dim, axis=1)
         return diag, slope
+
+    def stack(self, diag: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """base[r0:r1, r0:r1] plus each row of diag[:, r0:r1] on its diagonal.
+
+        r0 = 0, r1 = m gives the stack of whole H_N over the rows' lambdas.
+        """
+        c = r1 - r0
+        stack = np.broadcast_to(self.base[r0:r1, r0:r1], (len(diag), c, c)).copy()
+        stack[:, range(c), range(c)] += diag[:, r0:r1]
+        return stack
 
 
 def _gauss_jordan(aug: np.ndarray, pivots: np.ndarray) -> None:
@@ -359,9 +331,8 @@ def det_phase_and_log_derivative(
 
     Each lambda's core, elimination and core factorization are computed
     on their own, and lambdas that share a core are factored in one
-    batched call, so no result depends on how the lambdas are split or
-    on the number of cores.  The dense cores are factored on the thread
-    pool, in chunks sized as if each were the whole matrix.
+    batched call in the calling thread, so no result depends on how the
+    lambdas are split or on the number of cores.
     """
     N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
@@ -378,40 +349,32 @@ def det_phase_and_log_derivative(
     ]
     lo, hi, phase, slope, corr, corr_slope = (np.concatenate(x) for x in zip(*passes))
 
-    def factor(nodes):
-        ph, sl = phase[nodes], slope[nodes]
-        key = lo[nodes] * B + hi[nodes]
-        for group in np.unique(key):
-            sel = np.flatnonzero(key == group)
-            node = nodes[sel]
-            r0, r1 = lo[node[0]] * s, (hi[node[0]] + 1) * s
-            c = r1 - r0
-            core = np.broadcast_to(band.base[r0:r1, r0:r1], (len(sel), c, c)).copy()
-            core[:, range(c), range(c)] += diag[node, r0:r1]
-            core[:, :s, :s] -= corr[node, 0]
-            core[:, -s:, -s:] -= corr[node, 1]
-            sign = np.linalg.slogdet(core)[0]
-            # not *=: numpy multiplies one complex element in place without
-            # the fused loop, which would make its last bit depend on the group
-            ph[sel] = ph[sel] * sign
-            ok = sign != 0.0
-            if ok.all():
-                # a basic slice is a view: no copy of the whole stack
-                ok = slice(None)
-            inv = np.linalg.inv(core[ok])
-            node = node[ok]
-            top, bottom = corr_slope[node, 0], corr_slope[node, 1]
-            # tr(C^-1 C'): C' is diagonal but for the two corner blocks
-            sl[sel[ok]] += (
-                np.sum(inv.diagonal(0, 1, 2) * diag_slope[node, r0:r1], axis=1)
-                + np.sum(inv[:, :s, :s] * top.swapaxes(1, 2), axis=(1, 2))
-                + np.sum(inv[:, -s:, -s:] * bottom.swapaxes(1, 2), axis=(1, 2))
-            )
-            sl[sel[sign == 0.0]] = complex(np.inf, 0.0)
-        return ph, sl
-
-    phases, slopes = zip(*_map_chunks(np.arange(len(lams)), band.order, factor))
-    return np.concatenate(phases), np.concatenate(slopes)
+    key = lo * B + hi
+    for group in np.unique(key):
+        sel = np.flatnonzero(key == group)
+        r0, r1 = lo[sel[0]] * s, (hi[sel[0]] + 1) * s
+        core = band.stack(diag[sel], r0, r1)
+        core[:, :s, :s] -= corr[sel, 0]
+        core[:, -s:, -s:] -= corr[sel, 1]
+        sign = np.linalg.slogdet(core)[0]
+        # not *=: numpy multiplies one complex element in place without
+        # the fused loop, which would make its last bit depend on the group
+        phase[sel] = phase[sel] * sign
+        ok = sign != 0.0
+        if ok.all():
+            # a basic slice is a view: no copy of the whole stack
+            ok = slice(None)
+        inv = np.linalg.inv(core[ok])
+        node = sel[ok]
+        top, bottom = corr_slope[node, 0], corr_slope[node, 1]
+        # tr(C^-1 C'): C' is diagonal but for the two corner blocks
+        slope[node] += (
+            np.sum(inv.diagonal(0, 1, 2) * diag_slope[node, r0:r1], axis=1)
+            + np.sum(inv[:, :s, :s] * top.swapaxes(1, 2), axis=(1, 2))
+            + np.sum(inv[:, -s:, -s:] * bottom.swapaxes(1, 2), axis=(1, 2))
+        )
+        slope[sel[sign == 0.0]] = complex(np.inf, 0.0)
+    return phase, slope
 
 
 def evaluate_grid(spec: SystemSpec, N: int, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -424,13 +387,16 @@ def evaluate_grid(spec: SystemSpec, N: int, lams) -> tuple[np.ndarray, np.ndarra
     """
     N = _truncation_order(N)
     lams = np.asarray(lams, dtype=complex).ravel()
+    band = _Band(spec, N)
 
-    def factor(stack, _):
+    def factor(chunk):
+        # each stack is built and factored by the worker that runs it
+        stack = band.stack(band.diagonals(chunk)[0], 0, band.m)
         s = np.linalg.svd(stack, compute_uv=False)
         with np.errstate(divide="ignore"):
             return np.sum(np.log(s), axis=1), s[:, -1]
 
-    parts = _map_stacks(spec, N, lams, factor)
+    parts = _map_chunks(lams, band.m, factor)
     if not parts:
         return np.zeros(0), np.zeros(0)
     logs, sigmas = zip(*parts)

@@ -390,6 +390,40 @@ class TestForcing:
         expected = forcing_grid(fe, np.linspace(1.0, 3.0, 3))
         assert np.allclose(rows[:, 1], expected[:, 0], rtol=1e-12)
 
+    def test_complex_history_splits_each_component(self, tmp_path):
+        doc = {
+            "kind": "floquet",
+            "lambda": {"re": 0.2, "im": 0.1},
+            "omega": 1.0,
+            "coeffs": [
+                {"k": 0, "re": [1.0, 0.5], "im": [0.0, -0.3]},
+                {"k": 1, "re": [0.2, 0.0], "im": [0.4, 0.1]},
+            ],
+        }
+        hist = write_json(tmp_path / "floquet.json", doc)
+        out = tmp_path / "f.csv"
+        assert run(
+            [
+                "forcing",
+                "--history",
+                hist,
+                "--alpha",
+                "0.6",
+                "--grid",
+                "0.5:2:4",
+                "--out",
+                str(out),
+            ]
+        ) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "t,f1_re,f1_im,f2_re,f2_im"
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        ts = np.linspace(0.5, 2.0, 4)
+        expected = forcing_grid(ForcingEvaluator(parse_history(doc), 0.6), ts)
+        assert np.array_equal(rows[:, 0], ts)
+        assert np.array_equal(rows[:, 1::2], expected.real)
+        assert np.array_equal(rows[:, 2::2], expected.imag)
+
 
 class TestHillDet:
     def test_grid_matches_library(self, tmp_path, system_file):

@@ -494,8 +494,8 @@ class TestStackMapper:
     def test_bitwise_equal_to_one_stack(self, spec, monkeypatch):
         rng = np.random.default_rng(43)
         lams = rng.normal(size=40) + 1j * rng.normal(size=40)
-        # an exact zero of det for the constant system J_0 = 1, in the
-        # second stack, so that stack takes the masked inverse
+        # an exact zero of det for the constant system J_0 = 1, so that
+        # its core group takes the masked inverse
         lams[17] = 1.0
         N = 3
         m = spec.dim * (2 * N + 1)
@@ -513,7 +513,8 @@ class TestStackMapper:
             monkeypatch.setattr(hill, "_workers", lambda: workers)
             for got, want in zip(self.grids(spec, N, lams), reference):
                 np.testing.assert_array_equal(got, want)
-        assert pools == [2, 2, 2]
+        # sigma_min_grid and evaluate_grid use the pool, the det route never
+        assert pools == [2, 2]
         if spec.dim == 1:
             phase, slope = reference[3:]
             assert phase[17] == 0.0 and np.isinf(slope[17])
@@ -521,7 +522,19 @@ class TestStackMapper:
     def test_one_stack_runs_inline(self, monkeypatch):
         monkeypatch.setattr(hill, "_workers", lambda: 2)
         monkeypatch.setattr(hill, "_pool", lambda w, pid: pytest.fail("pool used"))
-        det_phase_and_log_derivative(periodic_spec(2.5), 20, [0.1 + 0.2j, 0.3])
+        evaluate_grid(periodic_spec(2.5), 20, [0.1 + 0.2j, 0.3])
+
+    def test_det_route_factors_its_cores_inline(self, monkeypatch):
+        # one matrix of order 41 per stack on two workers: split into
+        # chunks, the 30 cores would fill several stacks
+        spec, N = periodic_spec(2.5), 20
+        lams = np.linspace(0.0, 3.0, 30) + 0.2j
+        reference = det_phase_and_log_derivative(spec, N, lams)
+        monkeypatch.setattr(hill, "_workers", lambda: 2)
+        monkeypatch.setattr(hill, "_STACK_ENTRIES", 2 * 41 * 41)
+        monkeypatch.setattr(hill, "_pool", lambda w, pid: pytest.fail("pool used"))
+        for got, want in zip(det_phase_and_log_derivative(spec, N, lams), reference):
+            np.testing.assert_array_equal(got, want)
 
     def test_linalg_error_reaches_caller_unchanged(self, monkeypatch):
         spec = mathieu_spec(alpha=0.5)

@@ -13,6 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from frachill import integrator
 from frachill.errors import DomainError, NonFiniteStateError
@@ -463,6 +464,39 @@ class TestVocSolutionScalar:
                 gaps.append(abs(tr.final[0] - v))
             assert gaps[1] <= 0.7 * gaps[0], (h, gaps)
             assert gaps[1] <= 2e-6, (h, gaps)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
+    def test_matches_adaptive_quadrature(self, alpha):
+        # scipy's adaptive quad of the same integral, on 20 pieces of
+        # [0, t] with s^(alpha - 1) taken as the first piece's weight; the
+        # forcing's (t - s)^(1 - alpha) kink at s = t sits at the end of
+        # the last piece
+        A, t = -1.0, 10.0
+        histories = (
+            TruncatedSinusoid(amplitude=[1.0], phase=math.pi / 4),
+            TruncatedSinusoid(amplitude=[1.0], phase=0.3, frequency=2.0),
+            PiecewiseConstantRamp(far_value=[1.0], ramp_start=-1.0),
+        )
+        for h in histories:
+            fe = ForcingEvaluator(h, alpha)
+
+            def integrand(s):
+                kernel = mittag_leffler(alpha, alpha, A * s**alpha).real
+                return kernel * forcing_grid(fe, np.array([t - s]))[0, 0]
+
+            edges = np.linspace(0.0, t, 21)
+            conv = quad(
+                integrand, 0.0, edges[1], weight="alg", wvar=(alpha - 1.0, 0.0),
+                epsabs=1e-14, epsrel=1e-13, limit=200,
+            )[0]
+            for lo, hi in zip(edges[1:-1], edges[2:]):
+                conv += quad(
+                    lambda s: s ** (alpha - 1.0) * integrand(s), lo, hi,
+                    epsabs=1e-14, epsrel=1e-13, limit=200,
+                )[0]
+            u0 = h.value(0.0)[0]
+            ref = mittag_leffler(alpha, 1.0, A * t**alpha).real * u0 - conv
+            assert abs(voc_solution_scalar(A, alpha, h, t) - ref) <= 1e-10, h
 
 
 class TestBoundedness:
