@@ -13,10 +13,11 @@ stacks of whole H_N with batched LAPACK SVDs and reads both of its
 values from one SVD per matrix: sigma_min, and log|det| as the sum of
 log sigma_i, -inf where a singular value is 0; sigma_min_grid is its
 sigma_min column.  det_phase_and_log_derivative, which the root search
-calls, never factors a whole H_N: H_N is block banded, and the outer
-block rows, which the growing shifts make diagonally dominant, are
-eliminated from both ends by a matrix continued fraction, so that only
-a small dense core around r = 0 is factored, in the calling thread.
+calls as _band_det on one _Band per search, never factors a whole H_N:
+H_N is block banded, and the outer block rows, which the growing shifts
+make diagonally dominant, are eliminated from both ends by a matrix
+continued fraction, so that only a small dense core around r = 0 is
+factored, in the calling thread.
 
 A grid that needs more than one stack is factored on a thread pool with
 one thread per core in the process's affinity mask; the SVDs release
@@ -334,11 +335,18 @@ def det_phase_and_log_derivative(
     batched call in the calling thread, so no result depends on how the
     lambdas are split or on the number of cores.
     """
-    N = _truncation_order(N)
+    return _band_det(_Band(spec, _truncation_order(N)), lams)
+
+
+def _band_det(band: _Band, lams) -> tuple[np.ndarray, np.ndarray]:
+    """det_phase_and_log_derivative on a band built once by the caller.
+
+    A root search makes many small calls on one H_N; building its _Band
+    once saves the lambda-independent set-up on each of them.
+    """
     lams = np.asarray(lams, dtype=complex).ravel()
     if not len(lams):
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)
-    band = _Band(spec, N)
     B, s = band.B, band.s
     diag, diag_slope = band.diagonals(lams)
     # the elimination holds about 12 B s^2 entries per lambda

@@ -7,23 +7,30 @@ simulation cross-checks of Floquet-form solutions y = e^{lt} p(t).
 
 The search counts the zeros of det H_N in a strip with the argument
 principle (Delves & Lyness 1967) and refines each with Newton's trace
-iteration (Guettel & Tisseur 2017, Acta Numerica, section 4).  det H_N
-is analytic off the branch cuts {Re <= 0, Im = k omega}, so a strip
-that a cut crosses is counted in cut-free rectangles: one right of
-Re = 0 and bands between consecutive cuts left of it.  Every strip is
+iteration (Guettel & Tisseur 2017, Acta Numerica, section 4), started
+from the same contour's moment (1/2 pi i) contour integral of
+lam d log det, which for a cell with one zero is that zero.  A contour
+step too coarse for the det phase, or for the distance to the nearest
+zero, is cut in one round into as many equal pieces as its two ends
+ask for, 2 to _MAX_PIECES.  One _Band serves every det call of a
+search.  det H_N is analytic off the branch cuts
+{Re <= 0, Im = k omega}, so a strip that a cut crosses is counted in
+cut-free rectangles: one right of Re = 0 and bands between
+consecutive cuts left of it.  Every strip is
 certified except the slivers |Re| < 1e-6, and |Im - k omega| < 1e-6
 where Re < 0: the roots returned are all the zeros of det H_N in the
 strip outside them, so an empty list certifies that none exist there.
 A zero within 1e-13 times the rectangle scale of a counting contour
 raises IterationError instead.  FRACHILL_LOG=info logs one line per
 search: route, rectangles counted, sliver half-width, zeros counted,
-roots returned, Newton iterations per root and the seeds rejected by
-tol, strip and dedupe.
+roots returned, Newton iterations per root, the seeds rejected by
+tol, strip and dedupe, and the det calls with the lambdas they took.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -33,6 +40,8 @@ import numpy as np
 
 from frachill.errors import DomainError, IterationError
 from frachill.hill import (
+    _Band,
+    _band_det,
     _truncation_order,
     assemble,
     det_phase_and_log_derivative,
@@ -70,8 +79,10 @@ _STRIP_SLACK = 1e-6
 # of the shifts (lam + i r omega)^alpha lie, and, where Re < 0, from the
 # branch cuts Im = k omega
 _BRANCH_GAP = _STRIP_SLACK
-# a contour step whose det phase turns by more than this is bisected
+# a contour step whose det phase turns by more than this is subdivided
 _MAX_PHASE_STEP = 0.25 * math.pi
+# an unresolved contour step is cut into 2.._MAX_PIECES equal pieces
+_MAX_PIECES = 8
 # cells split off centre, so that symmetric roots miss the cut
 _SPLITS = (0.4637, 0.5419, 0.3812)
 _NEWTON_MAXITER = 50
@@ -164,7 +175,7 @@ def _inside(lam: complex, box) -> bool:
     return x0 <= lam.real <= x1 and y0 <= lam.imag <= y1
 
 
-def _newton(spec: SystemSpec, N: int, lam: complex, mult: int, box):
+def _newton(spec: SystemSpec, N: int, lam: complex, mult: int, box, det=None):
     """Newton's trace iteration lam <- lam - mult / tr(H^-1 H').
 
     tr(H^-1 H') is the logarithmic derivative of det H_N; mult > 1 keeps
@@ -173,11 +184,15 @@ def _newton(spec: SystemSpec, N: int, lam: complex, mult: int, box):
     step below 1e-10 relative no longer halves: that is the rounding
     floor of an ill-conditioned H.  Returns (lam, iterations), or None
     once an iterate leaves box or the step is not finite.  An exactly
-    singular H means the iterate is a root.
+    singular H means the iterate is a root.  det(lams) gives the det
+    phases and log derivatives, det_phase_and_log_derivative of spec
+    and N by default; a search passes its own _Search.det.
     """
+    if det is None:
+        det = functools.partial(det_phase_and_log_derivative, spec, N)
     last = math.inf
     for it in range(1, _NEWTON_MAXITER + 1):
-        phase, slope = det_phase_and_log_derivative(spec, N, [lam])
+        phase, slope = det([lam])
         if phase[0] == 0.0:
             return lam, it
         step = complex(mult / slope[0])
@@ -204,14 +219,28 @@ class _Search:
     rejected: dict = field(
         default_factory=lambda: {"tol": 0, "strip": 0, "dedupe": 0}
     )
+    det_calls: int = 0
+    det_nodes: int = 0
+    band: _Band = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.band = _Band(self.spec, self.N)
+
+    def det(self, lams) -> tuple[np.ndarray, np.ndarray]:
+        """det_phase_and_log_derivative on the search's one _Band, counted."""
+        self.det_calls += 1
+        self.det_nodes += len(lams)
+        return _band_det(self.band, lams)
 
     def refine(self, lam: complex, mult: int, box, target=None):
         """Newton from lam; (lam, sigma_min, null vector) if accepted.
 
-        Accepted means sigma_min < tol and, when a target cell is given,
-        a converged point inside it.
+        lam is the cell's contour moment where it lies in the cell, else
+        the cell centre (see _contour_route).  Accepted means
+        sigma_min < tol and, when a target cell is given, a converged
+        point inside it.
         """
-        hit = _newton(self.spec, self.N, lam, mult, box)
+        hit = _newton(self.spec, self.N, lam, mult, box, self.det)
         if hit is not None and (target is None or _inside(hit[0], target)):
             sigma, v = sigma_min_and_nullvector(assemble(self.spec, self.N, hit[0]))
             if sigma < self.tol:
@@ -222,21 +251,24 @@ class _Search:
 
 
 class _PhaseWalk:
-    """Winding numbers of det H_N around rectangles, phases cached.
+    """Winding numbers and root moments of det H_N around rectangles.
 
     A rectangle's edges start with the corners and every node of the
     starting lattice (origin, spacing h) that lies on them, so that a
-    cell shares the nodes, and the bisections, of its parent's edges.
-    A step is bisected while the det phase turns by more than
+    cell shares the nodes, and the subdivisions, of its parent's edges.
+    A step is subdivided while the det phase turns by more than
     _MAX_PHASE_STEP across it, or while it is longer than the distance
-    to the nearest zero that 1/|d log det/d lam| estimates at either
-    end; the second test catches zeros that lie close to a long step,
-    whose turns a coarse phase sample would alias.  All steps of one
-    sweep are evaluated in one stacked call.
+    to the nearest zero that 1/|g| estimates at either end, g = d log
+    det/d lam; the second test catches zeros that lie close to a long
+    step, whose turns a coarse phase sample would alias.  An unresolved
+    step is cut into as many equal pieces as its own turn and reach ask
+    for, 2 to _MAX_PIECES, so that a child cell walks its parent's steps
+    again from the cache.  All steps of one sweep are evaluated in one
+    stacked call, through the search's det.
     """
 
-    def __init__(self, spec: SystemSpec, N: int, origin: complex, h: complex, min_step: float):
-        self.spec, self.N = spec, N
+    def __init__(self, search: _Search, origin: complex, h: complex, min_step: float):
+        self.det = search.det
         self.origin, self.h = origin, h
         self.min_step = min_step
         self._cache: dict[complex, tuple[complex, complex]] = {}
@@ -268,25 +300,44 @@ class _PhaseWalk:
         keys = zs.tolist()
         new = [z for z in dict.fromkeys(keys) if z not in self._cache]
         if new:
-            phase, slope = det_phase_and_log_derivative(self.spec, self.N, new)
+            phase, slope = self.det(new)
             self._cache.update(zip(new, zip(phase.tolist(), slope.tolist())))
         phase, slope = zip(*(self._cache[z] for z in keys))
         return np.array(phase), np.array(slope)
 
-    def winding(self, rect) -> int:
-        """Zeros of det H_N inside rect, with multiplicity."""
+    @staticmethod
+    def _pieces(a: np.ndarray, b: np.ndarray, k: np.ndarray):
+        """Step (a, b) cut into k equal pieces; the last one ends on b exactly."""
+        first = np.cumsum(k) - k
+        step = np.repeat(np.arange(len(k)), k)
+        j = np.arange(len(step)) - first[step]
+        starts = a[step] + (b - a)[step] * (j / k[step])
+        ends = np.roll(starts, -1)
+        ends[first + k - 1] = b
+        return starts, ends
+
+    def winding(self, rect) -> tuple[int, complex]:
+        """Zeros of det H_N inside rect, with multiplicity, and their sum.
+
+        The sum is the moment (1/2 pi i) contour integral of lam g dlam
+        (Delves & Lyness 1967), taken by the trapezoid rule over the
+        resolved steps: for one zero it is that zero, to the accuracy of
+        the steps that resolve its phase.
+        """
         a = self.nodes(rect)
         b = np.roll(a, -1)
-        total = 0.0
+        total, moment = 0.0, 0j
         while a.size:
             (pa, ga), (pb, gb) = self._values(a), self._values(b)
             if np.any(pa == 0.0) or np.any(pb == 0.0):
                 raise IterationError("det H_N vanishes exactly on a search contour")
             turn = np.angle(pb / pa)
-            resolved = (np.abs(turn) <= _MAX_PHASE_STEP) & (
-                np.abs(b - a) * np.maximum(np.abs(ga), np.abs(gb)) <= 1.0
-            )
+            reach = np.abs(b - a) * np.maximum(np.abs(ga), np.abs(gb))
+            resolved = (np.abs(turn) <= _MAX_PHASE_STEP) & (reach <= 1.0)
             total += float(np.sum(turn[resolved]))
+            moment += complex(
+                np.sum((0.5 * (b - a) * (a * ga + b * gb))[resolved])
+            )
             a, b = a[~resolved], b[~resolved]
             short = np.abs(b - a) < self.min_step
             if np.any(short):
@@ -295,16 +346,22 @@ class _PhaseWalk:
                     f"{self.min_step:.1e} of a search contour near "
                     f"{complex(a[short][0]):.6g}"
                 )
-            mid = 0.5 * (a + b)
-            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        return round(total / (2.0 * math.pi))
+            # fmax/fmin read a NaN estimate as the fewest pieces
+            want = np.ceil(np.maximum(np.abs(turn) / _MAX_PHASE_STEP, reach))
+            want = want[~resolved]
+            k = np.fmin(np.fmax(want, 2.0), _MAX_PIECES).astype(int)
+            a, b = self._pieces(a, b, k)
+        return round(total / (2.0 * math.pi)), moment / (2j * math.pi)
 
-    def split(self, cell, m: int):
+    def split(self, cell, m: int, moment: complex):
         """Halve cell across its longer side (in lattice steps).
 
-        Returns the two halves with their zero counts.  The cut sits off
-        centre, and moves when it runs through a zero, so that the
-        roots of real systems on Im = 0 or mid-strip never lie on it.
+        Returns the two halves with their zero counts and moments (see
+        winding).  Only the low half is walked: counts and moments add
+        up over the halves, so the high half gets what the low half
+        leaves of the cell's.  The cut sits off centre, and moves when it
+        runs through a zero, so that the roots of real systems on Im = 0
+        or mid-strip never lie on it.
         """
         x0, x1, y0, y1 = cell
         across_re = (x1 - x0) / self.h.real >= (y1 - y0) / self.h.imag
@@ -316,14 +373,14 @@ class _PhaseWalk:
                 ym = y0 + frac * (y1 - y0)
                 low, high = (x0, x1, y0, ym), (x0, x1, ym, y1)
             try:
-                k = self.winding(low)
+                k, low_moment = self.winding(low)
             except IterationError:
                 continue
             if not 0 <= k <= m:
                 raise IterationError(
                     f"zero counts do not add up: {k} of {m} in one half of a cell"
                 )
-            return (low, k), (high, m - k)
+            return (low, k, low_moment), (high, m - k, moment - low_moment)
         raise IterationError(f"no cut of the cell {cell} avoids the zeros of det H_N")
 
 
@@ -359,16 +416,19 @@ def _rectangles(spec: SystemSpec, N: int, box, re0: float):
 def _contour_route(search: _Search, walk: _PhaseWalk, rect):
     """Count the zeros in rect, then refine them one cell each.
 
-    Returns (count, roots), the roots before the strip filter.  Raises
+    Each cell carries its count m and moment M (see _PhaseWalk.winding);
+    Newton starts from M / m, the mean of the cell's zeros, when that
+    lies in the cell, and from the cell centre otherwise.  Returns
+    (count, roots), the roots before the strip filter.  Raises
     IterationError when the refinement cannot account for every zero
     counted, so the roots returned are all the zeros in rect.
     """
-    count = walk.winding(rect)
+    count, moment = walk.winding(rect)
     roots = []
     found = 0
-    cells = [(rect, count)] if count else []
+    cells = [(rect, count, moment)] if count else []
     while cells:
-        cell, m = cells.pop()
+        cell, m, moment = cells.pop()
         cx0, cx1, cy0, cy1 = cell
         tiny = max(cx1 - cx0, cy1 - cy0) < _DEDUPE_RADIUS
         if m == 1 or tiny:
@@ -378,15 +438,17 @@ def _contour_route(search: _Search, walk: _PhaseWalk, rect):
                 cy0 - 0.5 * (cy1 - cy0),
                 cy1 + 0.5 * (cy1 - cy0),
             )
-            centre = complex(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1))
-            hit = search.refine(centre, m, wide, target=cell)
+            start = moment / m
+            if not (cmath.isfinite(start) and _inside(start, cell)):
+                start = complex(0.5 * (cx0 + cx1), 0.5 * (cy0 + cy1))
+            hit = search.refine(start, m, wide, target=cell)
             if hit is not None:
                 roots.append(hit)
                 found += m
                 continue
             if tiny:
                 continue
-        cells.extend(half for half in walk.split(cell, m) if half[1])
+        cells.extend(half for half in walk.split(cell, m, moment) if half[1])
     if found != count:
         raise IterationError(
             f"counted {count} zeros of det H_N in {rect} but refined {found}"
@@ -414,8 +476,9 @@ def find_eigenvalues(
     else one rectangle right of Re = 1e-6 and bands left of Re = -1e-6
     between consecutive cuts, 1e-6 clear of them.  Cells are bisected
     until each holds one zero, and Newton's trace iteration refines
-    each from its cell centre.  A zero the refinement misses, or one
-    within 1e-13 times the rectangle scale of a contour, raises
+    each from its cell's contour moment, or from the cell centre when
+    the moment falls outside the cell.  A zero the refinement misses,
+    or one within 1e-13 times the rectangle scale of a contour, raises
     IterationError.  So every strip is certified except the slivers
     |Re lam| < 1e-6, and |Im lam - k omega| < 1e-6 where Re lam < 0: an
     empty list means det H_N has no zero in the strip outside them.  A
@@ -453,8 +516,7 @@ def find_eigenvalues(
     # that the rectangles split, so that narrow bands get few nodes
     x0, x1, y0, y1 = rects[0] if len(rects) == 1 else box
     walk = _PhaseWalk(
-        spec,
-        N,
+        search,
         complex(x0, y0),
         complex((x1 - x0) / (n_re - 1), (y1 - y0) / (n_im - 1)),
         1e-13 * max(1.0, x1 - x0, y1 - y0),
@@ -470,9 +532,16 @@ def find_eigenvalues(
         for k in range(-N, N + 1):
             lam = 1j * spec.omega * k
             if box[2] <= lam.imag <= box[3]:
-                sigma, v = sigma_min_and_nullvector(assemble(spec, N, lam))
+                matrix = assemble(spec, N, lam)
+                try:
+                    sigma = np.linalg.svd(matrix.matrix, compute_uv=False)[-1]
+                except np.linalg.LinAlgError as exc:
+                    raise IterationError(f"singular value decomposition failed: {exc}")
+                # the null vector only for a root: sigma_min alone is cheaper
                 if sigma < tol:
-                    roots.append((lam, sigma, v))
+                    sigma, v = sigma_min_and_nullvector(matrix)
+                    if sigma < tol:
+                        roots.append((lam, sigma, v))
 
     # the imaginary interval is half-open (im0, im1]: a root on the
     # lower edge is the group partner of one on the upper edge and
@@ -503,7 +572,7 @@ def find_eigenvalues(
     log.info(
         "find_eigenvalues route=contour N=%d strip=%s rects=%d sliver=%.3g "
         "counted=%d returned=%d newton_iterations=%s rejected_tol=%d "
-        "rejected_strip=%d rejected_dedupe=%d",
+        "rejected_strip=%d rejected_dedupe=%d det_calls=%d:%d",
         search.N,
         ":".join(f"{x:.6g}" for x in strip),
         len(rects),
@@ -514,6 +583,8 @@ def find_eigenvalues(
         search.rejected["tol"],
         search.rejected["strip"],
         search.rejected["dedupe"],
+        search.det_calls,
+        search.det_nodes,
     )
     return [
         Eigenpair(

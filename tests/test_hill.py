@@ -345,8 +345,7 @@ class TestBandedElimination:
     )
     def test_each_lambda_on_its_own(self, spec, monkeypatch):
         # nodes with different cores, factored together, one at a time,
-        # and in elimination passes of 3 nodes with one node per chunk of
-        # cores on two workers
+        # and in elimination passes of 3 nodes
         lams = np.concatenate(
             [
                 _strip_nodes(9, 12, (0.0, 6.0), (-0.5, 0.5)),
@@ -357,7 +356,6 @@ class TestBandedElimination:
         alone = [det_phase_and_log_derivative(spec, 20, [lam]) for lam in lams]
         band = hill._Band(spec, 20)
         monkeypatch.setattr(hill, "_STACK_ENTRIES", 3 * 12 * band.order * band.s)
-        monkeypatch.setattr(hill, "_workers", lambda: 2)
         passes = det_phase_and_log_derivative(spec, 20, lams)
         for k in range(2):
             np.testing.assert_array_equal(together[k], [one[k][0] for one in alone])

@@ -58,6 +58,16 @@ MATHIEU_LAMS = [
     complex(0.55642749680702774, 2.4999999999999996),
 ]
 
+# the reproduce fig5_eigs_scalar.csv roots (b = 2.5, N = 20, strip
+# 0:4:-2.5:2.5) as the centre-started Newton refinement found them
+FIG5_SCALAR_LAMS = [
+    complex(0.10824137327646058, -2.0),
+    complex(0.1082413732764603, -0.99999999999999989),
+    complex(0.10824137327646048, -2.3526289759910901e-16),
+    complex(0.10824137327646056, 1.0),
+    complex(0.10824137327646038, 2.0),
+]
+
 
 class TestGershgorin:
     def test_center_row_radius(self):
@@ -389,6 +399,126 @@ class TestCertifiedSearch:
     def test_grid_shape_validation(self):
         with pytest.raises(DomainError):
             find_eigenvalues(periodic_spec(1.0), 5, grid_shape=(1, 9))
+
+
+class TestContourMoments:
+    """Newton starts from each cell's contour moment; steps split k ways."""
+
+    @pytest.fixture(autouse=True)
+    def _info(self, caplog):
+        caplog.set_level(logging.INFO, logger="frachill.spectral")
+
+    def test_root_next_to_branch_point_takes_one_newton_run(self, caplog):
+        # the root lam ~ 0.00774 is far from the centre of the default
+        # strip [0, ~22]; from the centre, Newton runs were rejected 18
+        # times before the cells got small enough
+        spec = periodic_spec(2.06727, alpha=0.3)
+        pairs = find_eigenvalues(spec, 10)
+        fields = search_log(caplog)
+        assert fields["counted"] == "1" and fields["returned"] == "1"
+        assert fields["rejected_tol"] == "0"
+        assert "," not in fields["newton_iterations"]
+        calls, nodes = map(int, fields["det_calls"].split(":"))
+        assert 0 < calls <= nodes
+        box = (0.005, 0.01, -0.0025, 0.0025)
+        hit = spectral._newton(spec, 10, 0.0075 + 0.0j, 1, box)
+        assert hit is not None
+        assert abs(pairs[0].lam - hit[0]) <= 1e-12
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """(start, target cell) of every Newton run the search makes."""
+        seen = []
+        refine = spectral._Search.refine
+
+        def spy(self, lam, mult, box, target=None):
+            seen.append((lam, target))
+            return refine(self, lam, mult, box, target)
+
+        monkeypatch.setattr(spectral._Search, "refine", spy)
+        return seen
+
+    def test_moment_outside_its_cell_falls_back_to_the_centre(self, starts, monkeypatch):
+        winding = spectral._PhaseWalk.winding
+        monkeypatch.setattr(
+            spectral._PhaseWalk,
+            "winding",
+            lambda self, rect: (winding(self, rect)[0], complex(1e6, 1e6)),
+        )
+        pairs = find_eigenvalues(periodic_spec(2.5), 20)
+        assert len(pairs) == 1
+        assert pairs[0].lam.real == pytest.approx(UNSTABLE_LAM, abs=1e-9)
+        assert starts
+        for lam, (x0, x1, y0, y1) in starts:
+            assert lam == complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+
+    def test_moment_inside_its_cell_is_the_start(self, starts):
+        pairs = find_eigenvalues(periodic_spec(2.5), 20)
+        assert len(starts) == 1
+        lam, cell = starts[0]
+        assert spectral._inside(lam, cell)
+        assert abs(lam - pairs[0].lam) < 1e-3
+
+    def test_subdivided_steps_end_exactly_on_b(self):
+        a = np.array([0.1 + 0.3j, 1.0 / 3.0 - 0.7j, 2.0 + 1.0j / 7.0, -0.9 + 0.0j])
+        b = np.array([0.7 + 0.3j, 1.0 / 3.0 + 0.1j, 1.0 / 11.0 + 1.0j / 7.0, 0.3 - 0.4j])
+        k = np.array([2, 3, 7, 8])
+        starts, ends = spectral._PhaseWalk._pieces(a, b, k)
+        assert len(starts) == len(ends) == k.sum()
+        first = np.cumsum(k) - k
+        last = first + k - 1
+        np.testing.assert_array_equal(starts[first], a)
+        np.testing.assert_array_equal(ends[last], b)
+        inner = np.setdiff1d(np.arange(k.sum()), last)
+        np.testing.assert_array_equal(ends[inner], starts[inner + 1])
+        # equal pieces, each a k-th of its step
+        widths = np.abs(ends - starts)
+        np.testing.assert_allclose(widths, np.repeat(np.abs(b - a) / k, k), rtol=1e-12)
+
+    def test_child_cell_reuses_its_parents_edges(self, monkeypatch):
+        spec, N = periodic_spec(2.5), 20
+        search = spectral._Search(spec=spec, N=N, tol=1e-9)
+        origin, h = complex(0.01, -0.5), complex(0.099, 0.1)
+        walk = spectral._PhaseWalk(search, origin, h, 1e-13)
+        parent = (0.01, 0.01 + 10 * 0.099, -0.5, 0.5)
+        assert walk.winding(parent)[0] == 1
+        seen = []
+        band_det = spectral._band_det
+
+        def record(band, lams):
+            seen.extend(lams)
+            return band_det(band, lams)
+
+        monkeypatch.setattr(spectral, "_band_det", record)
+        # the child's left, top and bottom edges are steps of the
+        # parent's; only its new right edge needs det
+        x1 = 3 * h.real + origin.real
+        count, moment = walk.winding((0.01, x1, -0.5, 0.5))
+        assert count == 1
+        assert abs(moment - UNSTABLE_LAM) < 1e-3
+        assert seen
+        assert all(z.real == x1 for z in seen)
+
+    @pytest.mark.parametrize(
+        "spec,N,strip,expected",
+        [
+            (periodic_spec(2.5), 20, (0.0, 4.0, -2.5, 2.5), FIG5_SCALAR_LAMS),
+            (
+                make_system(
+                    0.9, 1.0, {0: [[0.0, 1.0], [1.0, 0.0]], 1: [[0.0, 0.0], [-1.0j, 0.0]]}
+                ),
+                10,
+                (-3.0, 3.0, -2.5, 2.5),
+                MATHIEU_LAMS,
+            ),
+        ],
+        ids=["scalar", "mathieu"],
+    )
+    def test_fig5_roots_unchanged(self, spec, N, strip, expected):
+        lams = [ep.lam for ep in find_eigenvalues(spec, N, strip=strip)]
+        assert len(lams) == len(expected)
+        for ref in expected:
+            assert min(abs(lam - ref) for lam in lams) <= 1e-12
 
 
 class TestClassifyLti:
